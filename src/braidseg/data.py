@@ -81,7 +81,10 @@ def read_pgm(path):
     pos += 1                                   # single whitespace after maxval
     if fields[0] != b"P5":
         raise DataError(f"{path}: not a binary PGM (magic {fields[0]!r})")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    try:
+        w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+    except ValueError:
+        raise DataError(f"{path}: non-numeric PGM header {fields[1:]!r}") from None
     if maxval != 255:
         raise DataError(f"{path}: unsupported maxval {maxval}")
     data = raw[pos:pos + w * h]
@@ -110,7 +113,12 @@ class Sample:
 
     @classmethod
     def from_json(cls, line):
-        d = json.loads(line)
+        try:
+            d = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DataError(f"manifest line is not JSON ({e}): {line.strip()}") from None
+        if not isinstance(d, dict):
+            raise DataError(f"manifest record is not a JSON object: {line.strip()}")
         required = {"id", "image", "mask", "class", "domain", "split"}
         missing = required - set(d)
         if missing:
@@ -361,11 +369,15 @@ def load_checkpoint(ckpt_dir, config=None):
             meta = json.load(f)
         except json.JSONDecodeError as e:
             raise DataError(f"{meta_path}: invalid JSON ({e})") from None
+    if not isinstance(meta, dict):
+        raise DataError(f"{meta_path}: not a JSON object")
     version = meta.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise DataError(
             f"{ckpt_dir}: checkpoint format version {version!r}, "
             f"this build reads {CHECKPOINT_VERSION}")
+    if config is None and "config" not in meta:
+        raise DataError(f"{meta_path}: no model config")
     cfg = config if config is not None else ModelConfig.from_dict(meta["config"])
     model = BraidNet(cfg, dtype=np.float32)
 

@@ -22,7 +22,10 @@ are treated as immutable inside a graph; the optimizer mutates parameter
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import special as _sp
 
 __all__ = [
@@ -85,7 +88,10 @@ class Tensor:
 
     # -- graph ---------------------------------------------------------
     def zero_grad(self):
-        if self.requires_grad:
+        g = self.grad
+        if g is not None and g.shape == self.shape and g.dtype == self.dtype:
+            g.fill(0)
+        elif self.requires_grad:                   # first use, or .data was re-typed
             self.grad = np.zeros_like(self.data)
 
     def detach(self):
@@ -107,7 +113,10 @@ class Tensor:
                 continue
             if node.requires_grad and node._backward is None:
                 # leaf: fold the flow into the persistent buffer
-                node.grad = node.grad + g if node.grad is not None else g.copy()
+                if node.grad is None:
+                    node.grad = g.copy()
+                else:
+                    node.grad += g
             if node._backward is not None:
                 node._backward(g, seeds)
 
@@ -301,13 +310,14 @@ def sigmoid(x):
 
 def gelu(x):
     """Exact Gauss-error-function GELU."""
+    # python-float constants: a numpy float64 scalar would promote float32 z
     z = x.data
-    phi = 0.5 * (1.0 + _sp.erf(z / np.sqrt(2.0)))
-    out = (z * phi).astype(z.dtype)
+    phi = 0.5 * (1.0 + _sp.erf(z / math.sqrt(2.0)))
+    out = z * phi
 
     def bwd(g, seeds):
-        pdf = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-        _flow(seeds, x, g * (phi + z * pdf).astype(z.dtype))
+        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+        _flow(seeds, x, g * (phi + z * pdf))
 
     return _make(out, (x,), bwd)
 
@@ -329,46 +339,47 @@ def softmax(x, axis=-1):
 # ---------------------------------------------------------------------
 
 def matmul(a, b):
-    """Batched matrix product.
+    """Matrix product of a [..., M, K] with b.
 
-    Either operand may be a plain 2-d matrix (a weight), in which case it
-    is shared across the other side's batch; otherwise the leading batch
-    extents must agree exactly.
+    A 2-d b (a weight) is shared across a's batch, whose axes fold into
+    rows: one GEMM forward and one per gradient. Otherwise a and b need
+    the same rank and identical leading batch extents.
     """
     if a.ndim < 2 or b.ndim < 2:
         raise ValueError(f"matmul: operands must be >=2-d, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: inner extents differ: {a.shape} @ {b.shape}")
-    if a.ndim > 2 and b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
+    if b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
         raise ValueError(f"matmul: batch extents differ: {a.shape} @ {b.shape}")
     if a.dtype != b.dtype:
         raise ValueError(f"matmul: dtype mismatch {a.dtype} vs {b.dtype}")
 
+    if b.ndim == 2:
+        a2 = a.data.reshape(-1, a.shape[-1])
+
+        def bwd(g, seeds):
+            g2 = g.reshape(a2.shape[0], -1)
+            if a.requires_grad:
+                _flow(seeds, a, (g2 @ b.data.T).reshape(a.shape))
+            if b.requires_grad:
+                _flow(seeds, b, a2.T @ g2)
+
+        return _make((a2 @ b.data).reshape(a.shape[:-1] + b.shape[1:]), (a, b), bwd)
+
     def bwd(g, seeds):
         if a.requires_grad:
-            da = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            if a.ndim == 2 and da.ndim > 2:
-                da = da.sum(axis=tuple(range(da.ndim - 2)))
-            _flow(seeds, a, da)
+            _flow(seeds, a, np.matmul(g, np.swapaxes(b.data, -1, -2)))
         if b.requires_grad:
-            db = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            if b.ndim == 2 and db.ndim > 2:
-                db = db.sum(axis=tuple(range(db.ndim - 2)))
-            _flow(seeds, b, db)
+            _flow(seeds, b, np.matmul(np.swapaxes(a.data, -1, -2), g))
 
     return _make(np.matmul(a.data, b.data), (a, b), bwd)
 
 
-def _im2col(xp, k, s, ho, wo):
-    bsz, c, _, _ = xp.shape
-    i0 = np.repeat(np.arange(k), k)
-    j0 = np.tile(np.arange(k), k)
-    i1 = s * np.repeat(np.arange(ho), wo)
-    j1 = s * np.tile(np.arange(wo), ho)
-    ii = i0[:, None] + i1[None, :]
-    jj = j0[:, None] + j1[None, :]
-    cols = xp[:, :, ii, jj]                       # [B, C, k*k, L]
-    return cols.reshape(bsz, c * k * k, ho * wo)
+def _im2col(xp, k, s):
+    """[B, C, H, W] -> [B, C*k*k, L] patch matrix, rows ordered (c, ki, kj)."""
+    bsz, c = xp.shape[:2]
+    win = sliding_window_view(xp, (k, k), axis=(2, 3))[:, :, ::s, ::s]   # [B, C, ho, wo, k, k]
+    return win.transpose(0, 1, 4, 5, 2, 3).reshape(bsz, c * k * k, -1)
 
 
 def conv2d(x, w, b, stride=1, padding=0):
@@ -394,7 +405,10 @@ def conv2d(x, w, b, stride=1, padding=0):
     if ho < 1 or wo < 1:
         raise ValueError(f"conv2d: empty output for input {x.shape}, k={k}, s={s}, p={p}")
     xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
-    cols = _im2col(xp, k, s, ho, wo)              # [B, Cin*k*k, L]
+    if k == 1:   # the (strided) input is its own column matrix
+        cols = xp[:, :, ::s, ::s].reshape(bsz, cin, ho * wo)
+    else:
+        cols = _im2col(xp, k, s)                  # [B, Cin*k*k, L]
     wmat = w.data.reshape(cout, cin * k * k)
     out = np.matmul(wmat, cols) + b.data[:, None]
     out = out.reshape(bsz, cout, ho, wo)
@@ -404,11 +418,10 @@ def conv2d(x, w, b, stride=1, padding=0):
         if b.requires_grad:
             _flow(seeds, b, gm.sum(axis=(0, 2)))
         if w.requires_grad:
-            dw = np.einsum("bol,bxl->ox", gm, cols)
+            dw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
             _flow(seeds, w, dw.reshape(w.shape))
         if x.requires_grad:
-            dcols = np.matmul(wmat.T, gm)          # [B, Cin*k*k, L]
-            dcols = dcols.reshape(bsz, cin, k * k, ho, wo)
+            dcols = np.matmul(wmat.T, gm).reshape(bsz, cin, k * k, ho, wo)
             dxp = np.zeros_like(xp)
             for ki in range(k):
                 for kj in range(k):
@@ -419,49 +432,36 @@ def conv2d(x, w, b, stride=1, padding=0):
 
 
 def conv_transpose2d(x, w, b, stride=2):
-    """Transposed convolution (fractional stride). x [B,Cin,H,W], w [Cin,Cout,k,k].
+    """Transposed convolution, kernel k == stride. x [B,Cin,H,W], w [Cin,Cout,k,k].
 
-    Output extent (H-1)*stride + k; with k = stride = 2 it exactly doubles.
+    Tiles do not overlap, so each pixel's k x k output tile is one row of
+    a per-pixel matmul with w as [Cin, Cout*k*k]. Output [B,Cout,H*k,W*k].
     """
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv_transpose2d: need 4-d input and kernel, got {x.shape}, {w.shape}")
     cin, cout, k, k2 = w.shape
-    if k != k2:
-        raise ValueError(f"conv_transpose2d: kernel must be square, got {w.shape[2:]}")
+    if k != k2 or k != int(stride):
+        raise ValueError(f"conv_transpose2d: need kernel == stride, got {w.shape[2:]} and {stride}")
     if x.shape[1] != cin:
         raise ValueError(f"conv_transpose2d: input channels {x.shape[1]} != kernel channels {cin}")
     if b.shape != (cout,):
         raise ValueError(f"conv_transpose2d: bias shape {b.shape} != ({cout},)")
     if x.dtype != w.dtype or x.dtype != b.dtype:
         raise ValueError("conv_transpose2d: dtype mismatch among x, w, b")
-    s = int(stride)
     bsz, _, h, wd = x.shape
-    ho, wo = (h - 1) * s + k, (wd - 1) * s + k
-    # prod[b, i, j, co, ki, kj] = sum_ci x[b,ci,i,j] w[ci,co,ki,kj]
-    prod = np.tensordot(x.data, w.data, axes=([1], [0]))
-    out = np.zeros((bsz, cout, ho, wo), dtype=x.dtype)
-    for ki in range(k):
-        for kj in range(k):
-            out[:, :, ki:ki + s * h:s, kj:kj + s * wd:s] += prod[:, :, :, :, ki, kj].transpose(0, 3, 1, 2)
-    out += b.data[None, :, None, None]
+    xm = x.data.transpose(0, 2, 3, 1).reshape(bsz * h * wd, cin)      # one row per pixel
+    wm = w.data.reshape(cin, cout * k * k)
+    tiles = (xm @ wm).reshape(bsz, h, wd, cout, k, k).transpose(0, 3, 1, 4, 2, 5)
+    out = tiles.reshape(bsz, cout, h * k, wd * k) + b.data[:, None, None]
 
     def bwd(g, seeds):
         if b.requires_grad:
             _flow(seeds, b, g.sum(axis=(0, 2, 3)))
+        gm = g.reshape(bsz, cout, h, k, wd, k).transpose(0, 2, 4, 1, 3, 5).reshape(-1, cout * k * k)
         if w.requires_grad:
-            dw = np.empty_like(w.data)
-            for ki in range(k):
-                for kj in range(k):
-                    sl = g[:, :, ki:ki + s * h:s, kj:kj + s * wd:s]
-                    dw[:, :, ki, kj] = np.einsum("bchw,bohw->co", x.data, sl)
-            _flow(seeds, w, dw)
+            _flow(seeds, w, (xm.T @ gm).reshape(w.shape))
         if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            for ki in range(k):
-                for kj in range(k):
-                    sl = g[:, :, ki:ki + s * h:s, kj:kj + s * wd:s]
-                    dx += np.tensordot(sl, w.data[:, :, ki, kj], axes=([1], [1])).transpose(0, 3, 1, 2)
-            _flow(seeds, x, dx)
+            _flow(seeds, x, (gm @ wm.T).reshape(bsz, h, wd, cin).transpose(0, 3, 1, 2))
 
     return _make(out, (x, w, b), bwd)
 

@@ -117,10 +117,10 @@ def sgd_step(named_params, state, lr, momentum=0.99, weight_decay=1e-4):
     for name, p in named_params:
         if p.grad is None or not p.requires_grad:
             raise ValueError(f"sgd: missing gradient for parameter {name!r}")
-        g = p.grad + weight_decay * p.data
-        v = momentum * state.vel(name, p.data) + g
-        state.velocity[name] = v
-        p.data = p.data - lr * v
+        v = state.vel(name, p.data)
+        v *= momentum
+        v += p.grad + weight_decay * p.data
+        p.data -= lr * v
 
 
 # ---------------------------------------------------------------------

@@ -161,6 +161,22 @@ class TestEvalPredict:
                    str(tmp_path / "nope.pgm"), "--out", str(tmp_path / "o.pgm")])
         assert rc == 2
 
+    def test_predict_non_numeric_pgm_header_is_a_data_error(self, pipeline, tmp_path):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\nab 3\n255\n")
+        rc = main(["predict", "--ckpt", str(pipeline["ckpt"]), "--image",
+                   str(bad), "--out", str(tmp_path / "o.pgm")])
+        assert rc == 2
+
+    @pytest.mark.parametrize("line", ["not json", "5"])
+    def test_eval_malformed_manifest_is_a_data_error(self, pipeline, tmp_path, line):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.jsonl").write_text(line + "\n")
+        rc = main(["eval", "--data", str(data), "--ckpt", str(pipeline["ckpt"]),
+                   "--report", str(tmp_path / "r.csv")])
+        assert rc == 2
+
 
 class TestGradcheckCommand:
     def test_passes_on_a_small_model(self, tmp_path, capsys):

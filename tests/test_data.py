@@ -66,6 +66,14 @@ class TestPgm:
         with pytest.raises(DataError):
             read_pgm(tmp_path / "nope.pgm")
 
+    @pytest.mark.parametrize("header", [b"P5\nab 3\n255\n", b"P5\n3 x\n255\n",
+                                        b"P5\n3 3\nmax\n"])
+    def test_read_rejects_non_numeric_header(self, tmp_path, header):
+        p = tmp_path / "e.pgm"
+        p.write_bytes(header + bytes(9))
+        with pytest.raises(DataError, match="non-numeric"):
+            read_pgm(p)
+
 
 class TestManifest:
     def _sample(self):
@@ -95,6 +103,11 @@ class TestManifest:
         d[field] = value
         with pytest.raises(DataError):
             Sample.from_json(json.dumps(d))
+
+    @pytest.mark.parametrize("line", ["not json", "5", "[1, 2]", '"id"'])
+    def test_rejects_lines_that_are_not_json_objects(self, line):
+        with pytest.raises(DataError, match="manifest"):
+            Sample.from_json(line)
 
     def test_rejects_missing_field(self):
         d = json.loads(self._sample().to_json())
@@ -298,6 +311,17 @@ class TestCheckpoints:
         (tmp_path / "meta.json").write_text("{ not json")
         with pytest.raises(DataError, match="invalid JSON"):
             load_checkpoint(tmp_path)
+
+    def test_meta_not_an_object(self, tmp_path):
+        (tmp_path / "meta.json").write_text("[1, 2]")
+        with pytest.raises(DataError, match="not a JSON object"):
+            load_checkpoint(tmp_path)
+
+    def test_meta_without_config(self, saved, tmp_path):
+        dst = self._tampered(saved, tmp_path, lambda m, d: m.pop("config"))
+        with pytest.raises(DataError, match="no model config"):
+            load_checkpoint(dst)
+        load_checkpoint(dst, config=TINY)          # an explicit config needs none
 
     def test_version_mismatch(self, saved, tmp_path):
         dst = self._tampered(saved, tmp_path,

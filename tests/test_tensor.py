@@ -97,6 +97,21 @@ class TestForward:
         with pytest.raises(ValueError, match="batch"):
             T.matmul(a, b)
 
+    def test_matmul_2d_left_needs_2d_right(self):
+        a = T.Tensor(np.zeros((3, 4), dtype=np.float32))
+        b = T.Tensor(np.zeros((2, 4, 5), dtype=np.float32))
+        with pytest.raises(ValueError, match="batch"):
+            T.matmul(a, b)
+
+    def test_matmul_folded_weight_matches_per_sample(self):
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(2, 3, 5, 8)).astype(np.float32)
+        w = rng.normal(size=(8, 6)).astype(np.float32)
+        out = T.matmul(T.Tensor(a), T.Tensor(w)).data
+        ref = np.stack([np.stack([np.matmul(a[i, j], w) for j in range(3)]) for i in range(2)])
+        assert out.shape == (2, 3, 5, 6)
+        assert np.max(np.abs(out - ref)) < 1e-6
+
     def test_matmul_inner_mismatch(self):
         a = T.Tensor(np.zeros((3, 4), dtype=np.float32))
         b = T.Tensor(np.zeros((5, 6), dtype=np.float32))
@@ -143,6 +158,14 @@ class TestForward:
         w = T.Tensor(np.zeros((4, 2, 2, 2), dtype=np.float32))
         b = T.Tensor(np.zeros(2, dtype=np.float32))
         assert T.conv_transpose2d(x, w, b, stride=2).shape == (1, 2, 16, 16)
+
+    @pytest.mark.parametrize("k,stride", [(3, 2), (2, 1)])
+    def test_conv_transpose_rejects_kernel_other_than_stride(self, k, stride):
+        x = T.Tensor(np.zeros((1, 4, 8, 8), dtype=np.float32))
+        w = T.Tensor(np.zeros((4, 2, k, k), dtype=np.float32))
+        b = T.Tensor(np.zeros(2, dtype=np.float32))
+        with pytest.raises(ValueError, match="stride"):
+            T.conv_transpose2d(x, w, b, stride=stride)
 
     def test_conv_transpose_matches_manual_scatter(self):
         rng = np.random.default_rng(7)
@@ -244,6 +267,20 @@ class TestBackwardMechanics:
         x.zero_grad()
         assert np.allclose(x.grad, [0.0, 0.0])
 
+    def test_grad_buffer_is_reused(self):
+        x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        buf = x.grad
+        T.tensor_sum(T.mul(x, x)).backward()
+        assert x.grad is buf and np.array_equal(buf, [2.0, 4.0])
+        x.zero_grad()
+        assert x.grad is buf and np.array_equal(buf, [0.0, 0.0])
+
+    def test_zero_grad_follows_a_retyped_buffer(self):
+        x = T.Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        x.data = x.data.astype(np.float64)
+        x.zero_grad()
+        assert x.grad.dtype == np.float64 and np.array_equal(x.grad, [0.0, 0.0])
+
     def test_untouched_leaf_grad_is_exactly_zero(self):
         x = T.Tensor(np.ones(3), requires_grad=True)
         y = T.Tensor(np.ones(3), requires_grad=True)
@@ -335,6 +372,13 @@ class TestFiniteDifferences:
     def test_conv2d_1x1(self, wrt):
         x, w, b = rand(2, 4, 1, 1, seed=26), rand(3, 4, 1, 1, seed=27), rand(3, seed=28)
         assert check_op(T.conv2d, (x, w, b), wrt) < LIN_TOL
+
+    @pytest.mark.parametrize("wrt", [0, 1, 2])
+    def test_conv2d_1x1_stride2_odd_extent(self, wrt):
+        x, w, b = rand(2, 3, 5, 5, seed=40), rand(4, 3, 1, 1, seed=41), rand(4, seed=42)
+        op = lambda xx, ww, bb: T.conv2d(xx, ww, bb, stride=2)
+        assert op(*(T.Tensor(a) for a in (x, w, b))).shape == (2, 4, 3, 3)
+        assert check_op(op, (x, w, b), wrt) < LIN_TOL
 
     @pytest.mark.parametrize("wrt", [0, 1, 2])
     def test_conv_transpose2d(self, wrt):

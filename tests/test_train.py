@@ -137,6 +137,25 @@ class TestSgd:
         assert np.allclose(state.velocity["a"], 3.0)
         assert np.allclose(state.velocity["b"], 6.0)
 
+    def test_in_place_update_is_bitwise_the_out_of_place_formula(self):
+        rng = np.random.default_rng(5)
+        theta = rng.normal(size=(3, 4)).astype(np.float32)
+        p = Tensor(theta.copy(), requires_grad=True)
+        state = SgdState()
+        data = p.data
+        v_ref = np.zeros_like(theta)
+        for step in range(3):
+            g = rng.normal(size=(3, 4)).astype(np.float32)
+            p.grad = g.copy()
+            sgd_step([("p", p)], state, lr=0.05, momentum=0.9, weight_decay=1e-3)
+            if step == 0:
+                velocity = state.velocity["p"]
+            v_ref = 0.9 * v_ref + (g + 1e-3 * theta)
+            theta = theta - 0.05 * v_ref
+            assert p.data is data and state.velocity["p"] is velocity
+            assert p.data.tobytes() == theta.tobytes()
+            assert velocity.tobytes() == v_ref.tobytes()
+
     def test_non_trainable_tensor_is_named(self):
         p = Tensor(np.zeros(2), requires_grad=False)
         with pytest.raises(ValueError, match="lonely"):
