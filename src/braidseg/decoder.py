@@ -56,6 +56,10 @@ class PromptEncoder(Block):
         self._dtype = dtype
 
     def forward(self, batch):
+        # The box is fixed to the whole image, so the two prompt tokens are
+        # a function of the parameters alone: no input reaches them, and
+        # only the batch expansion varies. Forward-only inference could
+        # compute them once per set of parameters and reuse them.
         # corners (0,0) and (W,H), normalized by the extent itself
         pe = sine_cosine_pe(np.array([[0.0, 0.0], [1.0, 1.0]]), self._c, self.corner_tl.dtype)
         corners = T.concat([self.corner_tl, self.corner_br], 0)       # [2, C_d]

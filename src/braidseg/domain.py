@@ -44,12 +44,5 @@ class DomainBranch(Block):
             y = T.add(y, injection)
         return y
 
-    def forward_all(self, x, injections=None):
-        """Straight pass through all layers (reference path for tests)."""
-        injections = injections or {}
-        for j in range(1, N_LAYERS + 1):
-            x = self.forward_layer(j, x, injections.get(j))
-        return x
-
     def project(self, x):
         return self.out_proj.forward(x)

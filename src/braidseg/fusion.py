@@ -24,6 +24,8 @@ layers, applying couplers, and a final element-wise fuse of the two
 projected maps. Scheduling requires every feedback target to come after
 the last forward-coupler source (3m < 4m-d+1, i.e. d <= m); otherwise
 construction fails with an error naming the layers on the cycle.
+Construction also dry-runs the step list (check_schedule), so the model
+can execute it as a plain loop with no checks of its own.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import numpy as np
 
 from . import tensor as T
 from .blocks import Block, Conv, InstanceNorm, LayerNorm
+from .domain import N_LAYERS
 
 RFIN_TABLE = ((1, 3), (2, 4), (3, 5))       # (prior multiple of m, domain layer)
 DKIN_SOURCES = (8, 7, 6)                    # cycled backwards from layer 4m
@@ -133,6 +136,7 @@ class FusionPlan:
                 f"(prior {targets[0]} needs domain {self.dkin_pairs[0][0]}, which needs "
                 f"domain 3..5, which needs prior {3 * m} >= {targets[0]}); requires d <= m")
         self.steps = self._build()
+        check_schedule(self.steps, m)
 
     def _build(self):
         m, r = self.m, self.rfin_count
@@ -159,7 +163,7 @@ class FusionPlan:
             steps.append(RunPrior(prior_cursor + 1, tgt, inject_at=tgt))
             prior_cursor = tgt
 
-        run_domain_through(8)
+        run_domain_through(N_LAYERS)
         if prior_cursor < 4 * m:
             steps.append(RunPrior(prior_cursor + 1, 4 * m))
         steps.append(FinalFuse())
@@ -184,6 +188,66 @@ class FusionPlan:
             else:
                 lines.append("fuse")
         return "\n".join(lines) + "\n"
+
+
+def check_schedule(steps, m):
+    """Dry-run a step list for a 4m-layer prior branch without tensors.
+
+    Raises RuntimeError("plan bug: ...") at the first step that would run
+    a layer twice or out of order, read a tap or domain output before it
+    exists, target a layer that already ran, inject a feature nobody
+    produced, or that comes after the fuse; and at the fuse if a branch
+    is unfinished or a coupler output was never consumed.
+    """
+    def bug(msg):
+        raise RuntimeError(f"plan bug: {msg}")
+
+    n_prior = 4 * m
+    prior_done = domain_done = 0
+    taps, to_domain, to_prior = set(), set(), set()   # pending outputs by target layer
+    fused = False
+    for s in steps:
+        if fused:
+            bug(f"step {s!r} after final fuse")
+        if isinstance(s, RunPrior):
+            if s.lo != prior_done + 1 or not s.lo <= s.hi <= n_prior:
+                bug(f"prior segment [{s.lo}..{s.hi}] but {prior_done} of {n_prior} layers done")
+            if s.inject_at is not None:
+                if s.inject_at not in to_prior:
+                    bug(f"prior layer {s.inject_at} expects an injection that was never produced")
+                if not s.lo <= s.inject_at <= s.hi:
+                    bug(f"injection at prior layer {s.inject_at} outside [{s.lo}..{s.hi}]")
+                to_prior.remove(s.inject_at)
+            taps.update(g for g in (m, 2 * m, 3 * m) if s.lo <= g <= s.hi)
+            prior_done = s.hi
+        elif isinstance(s, RunDomain):
+            if s.j != domain_done + 1 or s.j > N_LAYERS:
+                bug(f"domain layer {s.j} but {domain_done} done")
+            to_domain.discard(s.j)
+            domain_done = s.j
+        elif isinstance(s, ApplyRfin):
+            if s.src_prior not in taps:
+                bug(f"forward coupler reads prior tap {s.src_prior} before it exists")
+            if s.dst_domain <= domain_done:
+                bug(f"forward coupler targets domain {s.dst_domain} which already ran")
+            to_domain.add(s.dst_domain)
+        elif isinstance(s, ApplyDkin):
+            if s.src_domain > domain_done:
+                bug(f"feedback coupler reads domain {s.src_domain} before it ran")
+            if s.dst_prior <= prior_done:
+                bug(f"feedback coupler targets prior {s.dst_prior} which already ran")
+            to_prior.add(s.dst_prior)
+        elif isinstance(s, FinalFuse):
+            if prior_done != n_prior or domain_done != N_LAYERS:
+                bug(f"fuse after {prior_done} of {n_prior} prior and "
+                    f"{domain_done} of {N_LAYERS} domain layers")
+            if to_domain or to_prior:
+                bug("unconsumed coupler outputs at fuse")
+            fused = True
+        else:
+            bug(f"unknown step {s!r}")
+    if not fused:
+        bug("no final fuse step")
 
 
 def build_plan(m, rfin_count, dkin_count):

@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from .blocks import stable_hash
 from .tensor import Tensor
 
 
@@ -107,7 +108,7 @@ def check_model(cfg, seed=0, h=1e-5, tol=1e-4, probes=1, log=None):
     for name, p in model.named_params():
         if (p.init_kind or "zeros").partition(":")[0] == "zeros":
             prng = np.random.default_rng(
-                np.random.SeedSequence([seed, 0xA1, _stable_hash(name)]))
+                np.random.SeedSequence([seed, 0xA1, stable_hash(name)]))
             p.data = prng.normal(0.0, 0.02, size=p.shape)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xFD]))
     xc = rng.uniform(0.0, 1.0, size=(1, 1, cfg.x_c, cfg.x_c))
@@ -139,7 +140,7 @@ def check_model(cfg, seed=0, h=1e-5, tol=1e-4, probes=1, log=None):
             direction = analytic / gnorm
         else:
             direction = np.random.default_rng(
-                np.random.SeedSequence([seed, _stable_hash(name)])).standard_normal(p.shape)
+                np.random.SeedSequence([seed, stable_hash(name)])).standard_normal(p.shape)
             direction /= max(np.linalg.norm(direction), 1e-30)
 
         keep = p.data.copy()
@@ -163,7 +164,7 @@ def check_model(cfg, seed=0, h=1e-5, tol=1e-4, probes=1, log=None):
         # orders below that scale cannot be resolved by f64 differences of
         # a full forward pass, and a bug that small is invisible anyway)
         err_probe = 0.0
-        prng = np.random.default_rng(np.random.SeedSequence([seed, _stable_hash(name), 7]))
+        prng = np.random.default_rng(np.random.SeedSequence([seed, stable_hash(name), 7]))
         for _ in range(probes):
             idx = tuple(prng.integers(0, d) for d in p.shape) if p.ndim else ()
             keep_v = p.data[idx]
@@ -184,8 +185,3 @@ def check_model(cfg, seed=0, h=1e-5, tol=1e-4, probes=1, log=None):
             status = "ok" if err < tol else "FAIL"
             log(f"{status:4s} {name:60s} n={p.size:<8d} dir={err_dir:.3e} probe={err_probe:.3e}")
     return rows, max_err, time.time() - t0
-
-
-def _stable_hash(name):
-    import zlib
-    return zlib.crc32(name.encode("utf-8"))

@@ -1,16 +1,16 @@
 """Model configuration and the assembled two-branch network.
 
-BraidNet executes the fusion plan over an explicit state record: token
-stream position, conv stream position, recorded taps, pending
-injections. The interpreter is instrumented: every step asserts that the
-tensors it consumes were already produced and that layers run exactly
-once and in order, so a malformed plan fails loudly instead of silently
-reading stale features.
+The fusion plan is static for a given (m, r, d), and FusionPlan checks it
+once, symbolically, when it is built: every layer runs exactly once and
+in order, every coupler reads a feature that already exists and feeds a
+layer that has not yet run, and nothing is left unconsumed at the fuse.
+A malformed plan therefore fails before any parameter exists, and
+BraidNet.encode runs the steps as a plain loop over local dicts of taps,
+domain outputs and pending coupler outputs.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,9 +18,9 @@ import numpy as np
 from . import tensor as T
 from .blocks import Block, init_params
 from .decoder import MaskDecoder, PromptEncoder
-from .domain import N_LAYERS, DomainBranch
-from .fusion import (ApplyDkin, ApplyRfin, DkinModule, FinalFuse, FusionPlan,
-                     RfinModule, RunDomain, RunPrior, build_plan, final_fuse)
+from .domain import DomainBranch
+from .fusion import (ApplyDkin, ApplyRfin, DkinModule, RfinModule, RunDomain,
+                     RunPrior, build_plan, final_fuse)
 from .prior import PriorBranch
 from .tensor import Tensor
 
@@ -79,11 +79,6 @@ class ModelConfig:
         cfg = cls(**{k: int(v) for k, v in d.items()})
         return cfg.validate()
 
-    @classmethod
-    def from_json_file(cls, path):
-        with open(path) as f:
-            return cls.from_dict(json.load(f))
-
 
 class BraidNet(Block):
     """Two-branch encoder + coupling plan + prompt-conditioned decoder."""
@@ -125,10 +120,26 @@ class BraidNet(Block):
         """Run both branches under the plan; returns the fused [B,C_d,g,g] map."""
         x_c = self._as_input(x_c, self._cfg.x_c, "x_c")
         x_s = self._as_input(x_s, self._cfg.x_s, "x_s")
-        state = _PlanState(self, x_c, x_s)
+        prior, dom = self.patch_prior, self.conv_domain
+        tokens, dmap = prior.embed_tokens(x_s), x_c
+        taps, domain_out = {}, {}
+        to_domain, to_prior = {}, {}         # coupler outputs by target layer
         for step in self._plan.steps:
-            state.run(step)
-        return state.finish()
+            if isinstance(step, RunPrior):
+                inj = {} if step.inject_at is None else \
+                    {step.inject_at: to_prior.pop(step.inject_at)}
+                tokens, new_taps = prior.forward_segment(tokens, step.lo, step.hi, inj)
+                taps.update(new_taps)
+            elif isinstance(step, RunDomain):
+                dmap = dom.forward_layer(step.j, dmap, to_domain.pop(step.j, None))
+                domain_out[step.j] = dmap
+            elif isinstance(step, ApplyRfin):
+                to_domain[step.dst_domain] = self.rfins[step.idx].forward(taps[step.src_prior])
+            elif isinstance(step, ApplyDkin):
+                mod = self.dkins[step.idx]
+                to_prior[step.dst_prior] = (mod.forward(domain_out[step.src_domain]), mod.ln)
+            else:                            # FinalFuse, always the last step
+                return final_fuse(prior.project(tokens), dom.project(dmap))
 
     def _as_input(self, x, extent, name):
         if isinstance(x, Tensor):
@@ -137,91 +148,6 @@ class BraidNet(Block):
         if x.ndim != 4 or x.shape[1] != 1 or x.shape[2] != extent or x.shape[3] != extent:
             raise ValueError(f"{name}: expected [B,1,{extent},{extent}], got {x.shape}")
         return Tensor(x)
-
-
-class _PlanState:
-    """Instrumented interpreter state for one forward pass."""
-
-    def __init__(self, net, x_c, x_s):
-        self.net = net
-        self.tokens = net.patch_prior.embed_tokens(x_s)
-        self.dmap = x_c
-        self.prior_done = 0
-        self.domain_done = 0
-        self.taps = {}               # prior global layer -> tokens
-        self.domain_out = {}         # domain layer -> map
-        self.pending_domain = {}     # domain layer -> map to add after the block
-        self.pending_prior = {}      # prior layer -> (tokens, LayerNorm)
-        self.fused = None
-
-    def run(self, step):
-        if self.fused is not None:
-            raise RuntimeError("plan bug: step after final fuse")
-        if isinstance(step, RunPrior):
-            if step.lo != self.prior_done + 1:
-                raise RuntimeError(
-                    f"plan bug: prior segment [{step.lo}..{step.hi}] but "
-                    f"{self.prior_done} layers done")
-            inj = {}
-            if step.inject_at is not None:
-                if step.inject_at not in self.pending_prior:
-                    raise RuntimeError(
-                        f"plan bug: prior layer {step.inject_at} expects an "
-                        f"injection that was never produced")
-                inj[step.inject_at] = self.pending_prior.pop(step.inject_at)
-            self.tokens, taps = self.net.patch_prior.forward_segment(
-                self.tokens, step.lo, step.hi, inj)
-            self.taps.update(taps)
-            self.prior_done = step.hi
-        elif isinstance(step, RunDomain):
-            if step.j != self.domain_done + 1:
-                raise RuntimeError(
-                    f"plan bug: domain layer {step.j} but {self.domain_done} done")
-            self.dmap = self.net.conv_domain.forward_layer(
-                step.j, self.dmap, self.pending_domain.pop(step.j, None))
-            self.domain_out[step.j] = self.dmap
-            self.domain_done = step.j
-        elif isinstance(step, ApplyRfin):
-            if step.src_prior not in self.taps:
-                raise RuntimeError(
-                    f"plan bug: forward coupler reads prior tap {step.src_prior} "
-                    f"before it exists")
-            if step.dst_domain <= self.domain_done:
-                raise RuntimeError(
-                    f"plan bug: forward coupler targets domain {step.dst_domain} "
-                    f"which already ran")
-            self.pending_domain[step.dst_domain] = \
-                self.net.rfins[step.idx].forward(self.taps[step.src_prior])
-        elif isinstance(step, ApplyDkin):
-            if step.src_domain not in self.domain_out:
-                raise RuntimeError(
-                    f"plan bug: feedback coupler reads domain {step.src_domain} "
-                    f"before it ran")
-            if step.dst_prior <= self.prior_done:
-                raise RuntimeError(
-                    f"plan bug: feedback coupler targets prior {step.dst_prior} "
-                    f"which already ran")
-            mod = self.net.dkins[step.idx]
-            self.pending_prior[step.dst_prior] = (
-                mod.forward(self.domain_out[step.src_domain]), mod.ln)
-        elif isinstance(step, FinalFuse):
-            if self.prior_done != len(self.net.patch_prior.layers):
-                raise RuntimeError(
-                    f"plan bug: fuse with only {self.prior_done} prior layers done")
-            if self.domain_done != N_LAYERS:
-                raise RuntimeError(
-                    f"plan bug: fuse with only {self.domain_done} domain layers done")
-            if self.pending_domain or self.pending_prior:
-                raise RuntimeError("plan bug: unconsumed coupler outputs at fuse")
-            self.fused = final_fuse(self.net.patch_prior.project(self.tokens),
-                                    self.net.conv_domain.project(self.dmap))
-        else:
-            raise RuntimeError(f"plan bug: unknown step {step!r}")
-
-    def finish(self):
-        if self.fused is None:
-            raise RuntimeError("plan bug: no final fuse step")
-        return self.fused
 
 
 def build_model(cfg, seed=0, dtype=np.float32):

@@ -22,40 +22,34 @@ class Neck(Block):
     """Token projection to the decoder width: 1x1 conv (as a per-token
     linear) plus token-wise LN, then reshaped to a [B, C_d, g, g] map."""
 
-    def __init__(self, c, c_d, dtype=np.float32, normalize=True):
+    def __init__(self, c, c_d, dtype=np.float32):
         self.proj = Linear(c, c_d, dtype)
-        self.norm = LayerNorm(c_d, dtype) if normalize else None
+        self.norm = LayerNorm(c_d, dtype)
 
     def forward(self, tokens):
-        h = self.proj.forward(tokens)
-        if self.norm is not None:
-            h = self.norm.forward(h)
-        return T.tokens_to_map(h)
+        return T.tokens_to_map(self.norm.forward(self.proj.forward(tokens)))
 
 
 class PriorBranch(Block):
     """The 4m-layer token encoder with taps and injection sites.
 
-    injection_layers: 1-based indices allowed to receive an injection
-    (the plan's feedback targets; defaults to the last three layers).
+    injection_layers: 1-based indices allowed to receive an injection.
+    BraidNet passes the fusion plan's feedback targets, the one place the
+    sites are stated; the default () admits no injection at all.
     """
 
-    def __init__(self, cfg, dtype=np.float32, injection_layers=None, neck_normalize=True):
+    def __init__(self, cfg, dtype=np.float32, injection_layers=()):
         m = cfg.m
+        self._global = (m, 2 * m, 3 * m)
         grid = cfg.x_s // PatchEmbed.PATCH
         self.embed = PatchEmbed(cfg.C, grid, dtype)
         self.layers = [
-            TransformerBlock(
-                cfg.C, cfg.heads,
-                window=None if (i in (m, 2 * m, 3 * m)) else cfg.window,
-                dtype=dtype)
+            TransformerBlock(cfg.C, cfg.heads,
+                             window=None if i in self._global else cfg.window, dtype=dtype)
             for i in range(1, 4 * m + 1)
         ]
-        self.neck = Neck(cfg.C, cfg.C_d, dtype, normalize=neck_normalize)
-        self._m = m
-        self._global = (m, 2 * m, 3 * m)
-        self._allowed = frozenset(injection_layers if injection_layers is not None
-                                  else range(4 * m - 2, 4 * m + 1))
+        self.neck = Neck(cfg.C, cfg.C_d, dtype)
+        self._allowed = frozenset(injection_layers)
 
     @property
     def global_layers(self):
@@ -93,12 +87,6 @@ class PriorBranch(Block):
                 tokens = self.layers[i - 1].forward(tokens, injected=injected, injected_ln=ln)
             if i in self._global:
                 taps[i] = tokens
-        return tokens, taps
-
-    def forward_all(self, x_s, injections=None):
-        """Monolithic pass over all layers (reference path for tests)."""
-        tokens = self.embed_tokens(x_s)
-        tokens, taps = self.forward_segment(tokens, 1, len(self.layers), injections)
         return tokens, taps
 
     def project(self, tokens):

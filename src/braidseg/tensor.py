@@ -94,9 +94,6 @@ class Tensor:
         elif self.requires_grad:                   # first use, or .data was re-typed
             self.grad = np.zeros_like(self.data)
 
-    def detach(self):
-        return Tensor(self.data)
-
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
 
@@ -296,11 +293,8 @@ def sigmoid_np(z):
     return out
 
 
-_sigmoid_arr = sigmoid_np
-
-
 def sigmoid(x):
-    y = _sigmoid_arr(x.data)
+    y = sigmoid_np(x.data)
 
     def bwd(g, seeds):
         _flow(seeds, x, g * y * (1.0 - y))
@@ -648,7 +642,7 @@ def bce_with_logits(z, t):
 
     def bwd(g, seeds):
         if z.requires_grad:
-            _flow(seeds, z, g * (_sigmoid_arr(zd) - td) / n)
+            _flow(seeds, z, g * (sigmoid_np(zd) - td) / n)
         if t.requires_grad:
             _flow(seeds, t, g * (-zd) / n)
 

@@ -160,7 +160,9 @@ def train(model, root, samples, cfg, out_dir=None, log=None):
 
     samples: the (already filtered) training samples. Writes
     out_dir/loss_log.csv and out_dir/checkpoint/ when out_dir is given.
-    Raises NumericError the moment the loss stops being finite.
+    Raises NumericError the moment the loss stops being finite, and before
+    anything is written if a parameter holds a non-finite value after the
+    last update (a finite loss can still carry a NaN gradient).
     """
     cfg.validate()
     if not samples:
@@ -206,6 +208,10 @@ def train(model, root, samples, cfg, out_dir=None, log=None):
             rows.append((iteration, epoch, repr(float(lr)), repr(loss_val)))
             if log is not None and iteration % 25 == 0:
                 log(f"iter {iteration:5d} epoch {epoch:3d} lr {lr:.3e} loss {loss_val:.4f}")
+    for name, p in params:
+        if not np.isfinite(p.data).all():
+            raise NumericError(
+                f"non-finite values in parameter {name!r} after iteration {iteration}")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         write_loss_log(rows, os.path.join(out_dir, "loss_log.csv"))

@@ -6,7 +6,7 @@ import pytest
 from braidseg.blocks import LayerNorm, cast_block, init_params
 from braidseg.domain import N_LAYERS, DomainBranch
 from braidseg.model import ModelConfig
-from braidseg.prior import Neck, PriorBranch
+from braidseg.prior import PriorBranch
 from braidseg.tensor import Tensor
 
 TINY = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32, window=2,
@@ -45,7 +45,7 @@ class TestPriorBranch:
         rng = np.random.default_rng(seed)
         br = tiny_prior(seed)
         x = rand_image(rng, TINY.x_s)
-        full, taps_full = br.forward_all(x)
+        full, taps_full = br.forward_segment(br.embed_tokens(x), 1, len(br.layers))
 
         t = br.embed_tokens(x)
         taps_parts = {}
@@ -93,20 +93,20 @@ class TestPriorBranch:
     def test_neck_produces_decoder_width_map(self):
         rng = np.random.default_rng(2)
         br = tiny_prior()
-        t, _ = br.forward_all(rand_image(rng, TINY.x_s))
+        t, _ = br.forward_segment(br.embed_tokens(rand_image(rng, TINY.x_s)),
+                                  1, len(br.layers))
         fmap = br.project(t)
         g = TINY.x_s // 16
         assert fmap.shape == (2, TINY.C_d, g, g)
 
-    def test_neck_without_norm_is_plain_projection(self):
+    def test_no_injection_site_unless_given(self):
         rng = np.random.default_rng(3)
-        neck = Neck(6, 4, normalize=False)
-        init_params(neck, 0)
-        toks = Tensor(rng.random((1, 9, 6)).astype(np.float32))
-        p = {n: t.data for n, t in neck.named_params()}
-        assert set(p) == {"proj.w", "proj.b"}
-        out = neck.forward(toks)
-        assert out.shape == (1, 4, 3, 3)
+        br = tiny_prior()
+        t = br.embed_tokens(rand_image(rng, TINY.x_s))
+        ln = LayerNorm(TINY.C)
+        inj = Tensor(rng.random(t.shape).astype(np.float32))
+        with pytest.raises(ValueError, match="not an injection site"):
+            br.forward_segment(t, 1, 8, {8: (inj, ln)})
 
 
 class TestDomainBranch:
@@ -122,16 +122,6 @@ class TestDomainBranch:
         assert sides[0] == (c // 2, TINY.x_c // 2)
         assert sides[1] == (c, TINY.x_c // 4)
         assert all(s == (c, TINY.x_c // 4) for s in sides[2:])
-
-    def test_forward_all_matches_layerwise(self):
-        rng = np.random.default_rng(4)
-        br = tiny_domain()
-        x = rand_image(rng, TINY.x_c)
-        ref = br.forward_all(x)
-        cur = x
-        for j in range(1, N_LAYERS + 1):
-            cur = br.forward_layer(j, cur)
-        assert np.array_equal(ref.data, cur.data)
 
     def test_injection_adds_after_the_block(self):
         rng = np.random.default_rng(6)
@@ -165,7 +155,10 @@ class TestDomainBranch:
     def test_projection_to_decoder_width(self):
         rng = np.random.default_rng(7)
         br = tiny_domain()
-        out = br.project(br.forward_all(rand_image(rng, TINY.x_c)))
+        x = rand_image(rng, TINY.x_c)
+        for j in range(1, N_LAYERS + 1):
+            x = br.forward_layer(j, x)
+        out = br.project(x)
         assert out.shape == (2, TINY.C_d, TINY.x_c // 4, TINY.x_c // 4)
 
     def test_grids_of_both_branches_agree(self):

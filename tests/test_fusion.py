@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from braidseg import model as model_mod
 from braidseg.fusion import (ApplyDkin, ApplyRfin, CycleError, FinalFuse,
-                             FusionPlan, RunDomain, RunPrior, build_plan)
-from braidseg.model import ModelConfig, build_model
+                             FusionPlan, RunDomain, RunPrior, build_plan,
+                             check_schedule)
+from braidseg.model import BraidNet, ModelConfig, build_model
 
 GOLDEN_TRACE_M3 = """\
 prior[1..3]
@@ -138,6 +140,91 @@ class TestSchedule:
 
     def test_trace_is_reproducible(self):
         assert build_plan(4, 2, 1).trace() == build_plan(4, 2, 1).trace()
+
+    def test_every_legal_wiring_constructs(self):
+        built = 0
+        for m in range(1, 7):
+            for r in range(4):
+                for d in range(m + 1):
+                    plan = FusionPlan(m, r, d)
+                    assert isinstance(plan.steps[-1], FinalFuse)
+                    assert len(plan.rfin_pairs) == r and len(plan.dkin_pairs) == d
+                    built += 1
+        assert built == 4 * sum(m + 1 for m in range(1, 7))
+
+
+def _move(steps, step, before):
+    """Take `step` out of the list and reinsert it right before `before`
+    (or at the end when before is None)."""
+    out = [s for s in steps if s != step]
+    out.insert(len(out) if before is None else out.index(before), step)
+    return out
+
+
+def _swap(steps, a, b):
+    i, j = steps.index(a), steps.index(b)
+    out = list(steps)
+    out[i], out[j] = b, a
+    return out
+
+
+REF = build_plan(3, 3, 3).steps         # the golden trace above
+RFIN0 = ApplyRfin(0, 3, 3)
+DKIN0 = ApplyDkin(0, 6, 10)
+
+MALFORMED = {
+    "prior segment out of order": (
+        lambda s: _swap(s, RunPrior(4, 6), RunPrior(7, 9)), "prior segment [7..9]"),
+    "domain layer skipped": (
+        lambda s: [x for x in s if x != RunDomain(2)], "domain layer 3 but 1 done"),
+    "rfin before its tap": (
+        lambda s: _move(s, RFIN0, RunPrior(1, 3)), "reads prior tap 3 before"),
+    "rfin into a domain layer that ran": (
+        lambda s: _move(s, RFIN0, RunPrior(4, 6)), "targets domain 3 which already ran"),
+    "dkin before its source": (
+        lambda s: _move(s, DKIN0, RunDomain(6)), "reads domain 6 before it ran"),
+    "dkin into a prior layer that ran": (
+        lambda s: [ApplyDkin(0, 6, 9) if x == DKIN0 else x for x in s],
+        "targets prior 9 which already ran"),
+    "injection never produced": (
+        lambda s: [x for x in s if x != DKIN0], "never produced"),
+    "coupler output unconsumed": (
+        lambda s: [RunPrior(10, 10) if x == RunPrior(10, 10, inject_at=10) else x for x in s],
+        "unconsumed coupler outputs"),
+    "step after the fuse": (lambda s: s + [RunDomain(8)], "after final fuse"),
+    "no fuse": (lambda s: s[:-1], "no final fuse"),
+}
+
+
+class TestCheckSchedule:
+    def test_reference_steps_pass(self):
+        check_schedule(REF, 3)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_each_malformation_is_a_plan_bug(self, case):
+        edit, detail = MALFORMED[case]
+        bad = edit(list(REF))
+        assert bad != REF
+        with pytest.raises(RuntimeError, match="plan bug") as err:
+            check_schedule(bad, 3)
+        assert detail in str(err.value)
+
+    def test_unknown_step_is_a_plan_bug(self):
+        with pytest.raises(RuntimeError, match="plan bug: unknown step"):
+            check_schedule([object()] + REF, 3)
+
+    def test_malformed_plan_fails_before_any_parameter(self, monkeypatch):
+        """FusionPlan.__init__ runs the check, so BraidNet never reaches
+        its first parameter allocation."""
+        monkeypatch.setattr(FusionPlan, "_build", lambda self: REF[:-1])
+
+        def no_params(*a, **k):
+            raise AssertionError("parameters allocated before the plan was checked")
+
+        monkeypatch.setattr(model_mod, "PriorBranch", no_params)
+        cfg = ModelConfig(m=3, C=16, C_c=8, C_d=8, heads=2, x_c=16, x_s=64, window=2)
+        with pytest.raises(RuntimeError, match="plan bug: no final fuse"):
+            BraidNet(cfg)
 
 
 class TestZeroCouplerIdentity:

@@ -1,5 +1,6 @@
 """Loss, schedules, SGD and the training loop."""
 
+import importlib
 import os
 
 import numpy as np
@@ -280,3 +281,28 @@ class TestTrainLoop:
         with pytest.raises(NumericError, match="non-finite"):
             train(model, root, samples,
                   self._cfg(epochs=30, lr0=1e9, momentum=0.99))
+
+    def test_nan_gradient_on_the_last_update_never_reaches_disk(self, corpus, tmp_path,
+                                                                monkeypatch):
+        """The loss of the last iteration is finite, but its gradient is
+        poisoned; train() must refuse to write the NaN parameters."""
+        # braidseg.train is re-exported as the function; fetch the module
+        train_mod = importlib.import_module("braidseg.train")
+        real_step = train_mod.sgd_step
+        cfg = self._cfg(epochs=3)
+        calls = []
+
+        def poisoned_step(named_params, *args, **kw):
+            calls.append(1)
+            if len(calls) == cfg.epochs:               # one batch per epoch
+                named_params[0][1].grad[...] = np.nan
+            return real_step(named_params, *args, **kw)
+
+        monkeypatch.setattr(train_mod, "sgd_step", poisoned_step)
+        model = build_model(TINY, seed=0)
+        first = model.named_params()[0][0]
+        out = tmp_path / "run"
+        with pytest.raises(NumericError, match=f"non-finite values in parameter '{first}'"):
+            train(model, root=corpus[0], samples=corpus[1], cfg=cfg, out_dir=str(out))
+        assert len(calls) == cfg.epochs
+        assert not out.exists()
