@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import CLASSES, DOMAINS, load_sample, make_views, nearest_resize
 from .model import build_model
-from .tensor import sigmoid_np
+from .tensor import no_grad, sigmoid_np
 
 
 def dice(pred, gt):
@@ -36,7 +36,8 @@ def dice(pred, gt):
 def predict_mask(model, image):
     """Binary mask at the image's native resolution."""
     xc, xs = make_views(image, model.cfg)
-    logits = model.forward(xc, xs)
+    with no_grad():
+        logits = model.forward(xc, xs)
     prob = sigmoid_np(logits.data[0, 0])
     mask = (prob > 0.5).astype(np.float32)
     if mask.shape[0] != image.shape[0]:

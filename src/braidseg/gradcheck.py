@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .blocks import stable_hash
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 
 def numeric_grad(f, x, h=1e-5):
@@ -121,6 +121,11 @@ def check_model(cfg, seed=0, h=1e-5, tol=1e-4, probes=1, log=None):
     def loss_value():
         return seg_loss(model.forward(xc, xs), target)
 
+    def loss_at():
+        # a finite difference needs only the number, not a graph
+        with no_grad():
+            return float(loss_value().data)
+
     loss = loss_value()
     loss.backward()
 
@@ -145,9 +150,9 @@ def check_model(cfg, seed=0, h=1e-5, tol=1e-4, probes=1, log=None):
 
         keep = p.data.copy()
         p.data = keep + h * direction
-        fp = float(loss_value().data)
+        fp = loss_at()
         p.data = keep - h * direction
-        fm = float(loss_value().data)
+        fm = loss_at()
         p.data = keep
         numeric_dir = (fp - fm) / (2.0 * h)
         analytic_dir = float((analytic * direction).sum())
@@ -169,9 +174,9 @@ def check_model(cfg, seed=0, h=1e-5, tol=1e-4, probes=1, log=None):
             idx = tuple(prng.integers(0, d) for d in p.shape) if p.ndim else ()
             keep_v = p.data[idx]
             p.data[idx] = keep_v + h
-            fp = float(loss_value().data)
+            fp = loss_at()
             p.data[idx] = keep_v - h
-            fm = float(loss_value().data)
+            fm = loss_at()
             p.data[idx] = keep_v
             numeric_el = (fp - fm) / (2.0 * h)
             analytic_el = float(analytic[idx])

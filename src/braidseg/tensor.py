@@ -14,15 +14,22 @@ hand (scale by a python scalar, add_bias over trailing axes,
 scale_channels, expand_batch). All shape errors are raised at op call
 time, never during backward.
 
+Forward-only passes run inside `with no_grad():`. Ops evaluated there
+return plain tensors with no parents and no backward rule, so nothing
+below the result is kept alive; the numbers are bitwise those of a
+recorded pass.
+
 Concurrency: a graph is built and differentiated on one thread;
-independent graphs on independent tensors are safe in parallel. Tensors
-are treated as immutable inside a graph; the optimizer mutates parameter
-.data in place only between graphs.
+independent graphs on independent tensors are safe in parallel. The
+no_grad flag is per thread. Tensors are treated as immutable inside a
+graph; the optimizer mutates parameter .data in place only between graphs.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,6 +44,9 @@ __all__ = [
     "global_avg_pool", "scale_channels", "tensor_sum",
     "bce_with_logits", "tokens_to_map", "map_to_tokens",
 ]
+
+# dtype instances: comparing against the scalar types converts them per call
+_FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
@@ -53,7 +63,7 @@ class Tensor:
         if isinstance(data, Tensor):
             raise TypeError("Tensor(data): data is already a Tensor")
         arr = np.asarray(data)
-        if arr.dtype not in (np.float32, np.float64):
+        if arr.dtype not in _FLOAT_DTYPES:
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
@@ -102,6 +112,9 @@ class Tensor:
         """
         if self.size != 1:
             raise ValueError(f"backward: loss must be scalar, got shape {self.shape}")
+        if self._backward is None and not self.requires_grad:
+            raise ValueError("backward: the loss has no graph (computed under no_grad, "
+                             "or from tensors that require no gradient)")
         order = _topo_order(self)
         seeds = {id(self): np.ones_like(self.data)}
         for node in reversed(order):
@@ -159,10 +172,29 @@ def _flow(seeds, node, g):
         seeds[k] = g
 
 
+class _GradMode(threading.local):
+    recording = True
+
+
+_grad_mode = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no graph on this thread inside the block (nestable)."""
+    prev = _grad_mode.recording
+    _grad_mode.recording = False
+    try:
+        yield
+    finally:
+        _grad_mode.recording = prev
+
+
 def _make(data, parents, backward):
-    """Wire up a non-leaf tensor; drops the graph when no parent needs it."""
+    """Wire up a non-leaf tensor; drops the graph when no parent needs it
+    or when this thread is inside no_grad()."""
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_mode.recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.grad = None            # non-leaf: transient, lives in the seeds dict
         out._parents = tuple(parents)
@@ -398,7 +430,11 @@ def conv2d(x, w, b, stride=1, padding=0):
     wo = (wd + 2 * p - k) // s + 1
     if ho < 1 or wo < 1:
         raise ValueError(f"conv2d: empty output for input {x.shape}, k={k}, s={s}, p={p}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+    if p:
+        xp = np.zeros((bsz, cin, h + 2 * p, wd + 2 * p), dtype=x.dtype)
+        xp[:, :, p:p + h, p:p + wd] = x.data
+    else:
+        xp = x.data
     if k == 1:   # the (strided) input is its own column matrix
         cols = xp[:, :, ::s, ::s].reshape(bsz, cin, ho * wo)
     else:
@@ -464,14 +500,25 @@ def conv_transpose2d(x, w, b, stride=2):
 # normalization
 # ---------------------------------------------------------------------
 
+def _mean(a, axes, n):
+    """a.mean(axis=axes, keepdims=True) bit for bit, without its per-call
+    overhead; n counts the reduced elements. (ndarray.mean divides float32
+    sums by an intp in float64 and rounds back; a quotient rounded to 53
+    bits and then to 24 equals the one rounded straight to 24.)"""
+    s = np.add.reduce(a, axis=axes, keepdims=True)
+    s /= n
+    return s
+
+
 def _norm(name, x, gamma, beta, axes, param_axis, pshape, eps):
     if gamma.shape != beta.shape:
         raise ValueError(f"{name}: gamma shape {gamma.shape} != beta shape {beta.shape}")
     if x.dtype != gamma.dtype or x.dtype != beta.dtype:
         raise ValueError(f"{name}: dtype mismatch among x, gamma, beta")
-    mu = x.data.mean(axis=axes, keepdims=True)
+    n = math.prod(x.shape[a] for a in axes)
+    mu = _mean(x.data, axes, n)
     xm = x.data - mu
-    var = (xm * xm).mean(axis=axes, keepdims=True)
+    var = _mean(xm * xm, axes, n)
     ivar = 1.0 / np.sqrt(var + x.dtype.type(eps))
     xhat = xm * ivar
     gview = gamma.data.reshape(pshape)
@@ -485,8 +532,8 @@ def _norm(name, x, gamma, beta, axes, param_axis, pshape, eps):
             _flow(seeds, gamma, (g * xhat).sum(axis=osum).reshape(gamma.shape))
         if x.requires_grad:
             dxhat = g * gview
-            m1 = dxhat.mean(axis=axes, keepdims=True)
-            m2 = (dxhat * xhat).mean(axis=axes, keepdims=True)
+            m1 = _mean(dxhat, axes, n)
+            m2 = _mean(dxhat * xhat, axes, n)
             _flow(seeds, x, ivar * (dxhat - m1 - xhat * m2))
 
     return _make(out, (x, gamma, beta), bwd)
@@ -515,7 +562,7 @@ def instance_norm(x, gamma, beta, eps=1e-5):
 
 def reshape(x, shape):
     shape = tuple(int(s) for s in shape)
-    if int(np.prod(shape)) != x.size:
+    if math.prod(shape) != x.size:
         raise ValueError(f"reshape: cannot view {x.shape} as {shape}")
     old = x.shape
 
@@ -529,10 +576,9 @@ def transpose(x, axes):
     axes = tuple(int(a) for a in axes)
     if sorted(axes) != list(range(x.ndim)):
         raise ValueError(f"transpose: axes {axes} is not a permutation of 0..{x.ndim - 1}")
-    inv = np.argsort(axes)
 
     def bwd(g, seeds):
-        _flow(seeds, x, g.transpose(inv))
+        _flow(seeds, x, g.transpose(np.argsort(axes)))
 
     return _make(np.ascontiguousarray(x.data.transpose(axes)), (x,), bwd)
 

@@ -202,6 +202,7 @@ def train(model, root, samples, cfg, out_dir=None, log=None):
                     f"non-finite loss {loss_val} at iteration {iteration + 1} "
                     f"(epoch {epoch}, lr {lr:g})")
             loss.backward()
+            del logits, loss        # free this step's graph before the next forward
             sgd_step(params, state, lr, cfg.momentum, cfg.weight_decay)
             model.zero_grad()
             iteration += 1

@@ -71,6 +71,23 @@ class TestPredict:
         assert mask.shape == img.shape
         assert set(np.unique(mask)) <= {0.0, 1.0}
 
+    def test_builds_no_graph(self, corpus, monkeypatch):
+        root, samples = corpus
+        model = build_model(TINY, seed=0)
+        logits = []
+        real_forward = model.forward
+
+        def spy(xc, xs):
+            out = real_forward(xc, xs)
+            logits.append(out)
+            return out
+
+        monkeypatch.setattr(model, "forward", spy)
+        img, _ = load_sample(root, samples[0])
+        predict_mask(model, img)
+        assert len(logits) == 1
+        assert logits[0]._backward is None and logits[0]._parents == ()
+
 
 class TestEvaluate:
     def test_rows_follow_canonical_order(self, corpus):

@@ -5,6 +5,8 @@ Every differentiable op is checked against central differences at float64
 away from activation kinks so the numeric side is well defined.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -304,6 +306,22 @@ class TestBackwardMechanics:
         y = T.add(x, x)
         assert y._backward is None and y._parents == ()
 
+    def test_backward_without_a_graph_raises(self):
+        # at zero gradients sgd_step would apply weight decay alone
+        with pytest.raises(ValueError, match="no graph"):
+            T.tensor_sum(T.Tensor(np.ones(3))).backward()
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        with T.no_grad():
+            loss = T.tensor_sum(x)
+        with pytest.raises(ValueError, match="no graph"):
+            loss.backward()
+        assert np.array_equal(x.grad, np.zeros(3))
+
+    def test_scalar_leaf_is_its_own_loss(self):
+        x = T.Tensor(np.asarray(2.0), requires_grad=True)
+        x.backward()
+        assert x.grad == 1.0
+
     def test_deep_chain_no_recursion_limit(self):
         x = T.Tensor(np.array([1.0]), requires_grad=True)
         y = x
@@ -317,6 +335,104 @@ class TestBackwardMechanics:
         b = T.Tensor(np.zeros((2, 3)), requires_grad=True)
         with pytest.raises(ValueError):
             T.add(a, b)   # immediately, not at backward
+
+
+class TestNoGrad:
+    def test_ops_inside_record_nothing(self):
+        x = T.Tensor(np.ones((2, 3)), requires_grad=True)
+        with T.no_grad():
+            y = T.tensor_sum(T.gelu(T.add(x, x)))
+        assert y._parents == () and y._backward is None and not y.requires_grad
+        assert T.add(x, x)._backward is not None        # recording again after
+
+    def test_flag_survives_nesting_and_exceptions(self):
+        x = T.Tensor(np.ones(2), requires_grad=True)
+        with T.no_grad():
+            with T.no_grad():
+                pass
+            assert T.add(x, x)._backward is None       # inner exit keeps it off
+        with pytest.raises(RuntimeError):
+            with T.no_grad():
+                raise RuntimeError("boom")
+        assert T.add(x, x)._backward is not None
+
+    def test_flag_is_per_thread(self):
+        x = T.Tensor(np.ones(2), requires_grad=True)
+        inside, release, seen = threading.Event(), threading.Event(), []
+
+        def worker():
+            with T.no_grad():
+                inside.set()
+                release.wait(10)
+                seen.append(T.add(x, x)._backward)
+
+        t = threading.Thread(target=worker)
+        t.start()
+        try:
+            assert inside.wait(10)
+            y = T.tensor_sum(T.mul(x, x))       # this thread still records
+            assert y._backward is not None
+            y.backward()
+            assert np.array_equal(x.grad, [2.0, 2.0])
+        finally:
+            release.set()
+            t.join(10)
+        assert seen == [None]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_full_model_logits_are_bitwise_equal(self, dtype, monkeypatch):
+        from braidseg.model import ModelConfig, build_model
+        cfg = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32,
+                          window=2, rfin_count=2, dkin_count=2)
+        model = build_model(cfg, seed=3, dtype=dtype)
+        rng = np.random.default_rng(5)
+        xc = rng.uniform(size=(2, 1, 8, 8)).astype(dtype)
+        xs = rng.uniform(size=(2, 1, 32, 32)).astype(dtype)
+        recorded = model.forward(xc, xs)
+        assert recorded._backward is not None
+
+        made, real_make = [], T._make
+
+        def spy(data, parents, backward):
+            out = real_make(data, parents, backward)
+            made.append(out)
+            return out
+
+        monkeypatch.setattr(T, "_make", spy)
+        with T.no_grad():
+            bare = model.forward(xc, xs)
+        assert made and all(t._parents == () and t._backward is None for t in made)
+        assert bare.dtype == dtype and np.array_equal(bare.data, recorded.data)
+
+
+class TestNormReference:
+    """_norm's reduce-and-divide means give ndarray.mean's bits."""
+
+    @staticmethod
+    def reference(x, gamma, beta, axes, pshape, eps=1e-5):
+        mu = x.mean(axis=axes, keepdims=True)
+        xm = x - mu
+        var = (xm * xm).mean(axis=axes, keepdims=True)
+        xhat = xm * (1.0 / np.sqrt(var + x.dtype.type(eps)))
+        return xhat * gamma.reshape(pshape) + beta.reshape(pshape)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm(self, dtype):
+        rng = np.random.default_rng(11)
+        x = rng.normal(1.5, 3.0, size=(3, 7, 13)).astype(dtype)
+        g, b = rng.normal(size=13).astype(dtype), rng.normal(size=13).astype(dtype)
+        out = T.layer_norm(T.Tensor(x), T.Tensor(g), T.Tensor(b)).data
+        assert out.dtype == dtype
+        assert np.array_equal(out, self.reference(x, g, b, (2,), (1, 1, 13)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_instance_norm(self, dtype):
+        rng = np.random.default_rng(12)
+        x = rng.normal(-0.5, 2.0, size=(3, 5, 7, 9)).astype(dtype)
+        g, b = rng.normal(size=5).astype(dtype), rng.normal(size=5).astype(dtype)
+        out = T.instance_norm(T.Tensor(x), T.Tensor(g), T.Tensor(b)).data
+        assert out.dtype == dtype
+        assert np.array_equal(out, self.reference(x, g, b, (2, 3), (1, 5, 1, 1)))
 
 
 # ---------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import weakref
 
 import numpy as np
 import pytest
@@ -306,3 +307,19 @@ class TestTrainLoop:
             train(model, root=corpus[0], samples=corpus[1], cfg=cfg, out_dir=str(out))
         assert len(calls) == cfg.epochs
         assert not out.exists()
+
+    def test_previous_graph_is_freed_before_the_next_forward(self, corpus):
+        """Only one step's activations may be alive at a time."""
+        model = build_model(TINY, seed=0)
+        real_forward = model.forward
+        refs, alive_at_call = [], []
+
+        def spy(xc, xs):
+            alive_at_call.append(bool(refs) and refs[-1]() is not None)
+            out = real_forward(xc, xs)
+            refs.append(weakref.ref(out.data))
+            return out
+
+        model.forward = spy
+        train(model, root=corpus[0], samples=corpus[1], cfg=self._cfg(epochs=3))
+        assert alive_at_call == [False, False, False]
