@@ -88,7 +88,8 @@ def _trunc_normal(rng, shape, std):
 
 
 def cast_block(block, dtype):
-    """Re-type every parameter buffer in place (f32 <-> f64)."""
+    """Re-type every parameter buffer in place (f32 <-> f64); a gradient
+    buffer of the old dtype is dropped, not reallocated."""
     for _, p in block.named_params():
         p.data = p.data.astype(dtype)
         p.zero_grad()

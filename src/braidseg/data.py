@@ -62,7 +62,7 @@ def read_pgm(path):
     try:
         with open(path, "rb") as f:
             raw = f.read()
-    except OSError as e:
+    except (OSError, ValueError) as e:           # ValueError: a NUL byte in the path
         raise DataError(f"cannot read PGM {path}: {e}") from None
     fields, pos = [], 0
     while len(fields) < 4:
@@ -85,6 +85,8 @@ def read_pgm(path):
         w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
     except ValueError:
         raise DataError(f"{path}: non-numeric PGM header {fields[1:]!r}") from None
+    if w < 1 or h < 1:
+        raise DataError(f"{path}: PGM extent {w}x{h} is not positive")
     if maxval != 255:
         raise DataError(f"{path}: unsupported maxval {maxval}")
     data = raw[pos:pos + w * h]
@@ -123,6 +125,9 @@ class Sample:
         missing = required - set(d)
         if missing:
             raise DataError(f"manifest record missing fields {sorted(missing)}: {line.strip()}")
+        for key in ("id", "image", "mask"):
+            if not isinstance(d[key], str):
+                raise DataError(f"manifest record field {key!r} is not a string: {line.strip()}")
         if d["class"] not in CLASSES:
             raise DataError(f"manifest record {d['id']}: unknown class {d['class']!r}")
         if d["domain"] not in DOMAINS:
@@ -398,7 +403,7 @@ def load_checkpoint(ckpt_dir, config=None):
             raise DataError(
                 f"checkpoint tensor {name!r}: file holds {flat.size} values, "
                 f"expected {p.size}")
-        p.data = flat.reshape(p.shape).astype(np.float32)
+        p.data = flat.reshape(p.shape).astype(np.float32, copy=False)
     model_names = {n for n, _ in model.named_params()}
     extra = set(stored) - model_names
     if extra:

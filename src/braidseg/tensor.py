@@ -52,12 +52,16 @@ _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 class Tensor:
     """A numpy array plus the bookkeeping for reverse-mode autodiff.
 
-    Leaves created with requires_grad=True get a zero-filled .grad buffer
-    immediately, so parameters untouched by a loss read back exactly zero.
-    Calling backward() twice without zero_grad() accumulates.
+    A leaf created with requires_grad=True holds no gradient buffer until
+    something needs one, so a model that never runs backward carries only
+    its weights. Reading .grad on such a leaf allocates, keeps and returns
+    exact zeros of the data's shape and dtype; backward() adds the first
+    flow into that zero buffer, so parameters untouched by a loss read back
+    exactly zero. Calling backward() twice without zero_grad() accumulates.
+    Non-leaves read .grad as None: their flows live in backward's seeds.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "init_kind", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_grad", "init_kind", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, init_kind=None):
         if isinstance(data, Tensor):
@@ -67,7 +71,7 @@ class Tensor:
             arr = arr.astype(np.float32)
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = np.zeros_like(arr) if requires_grad else None
+        self._grad = None
         self.init_kind = init_kind
         self._parents = ()
         self._backward = None
@@ -97,12 +101,26 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
 
     # -- graph ---------------------------------------------------------
+    @property
+    def grad(self):
+        g = self._grad
+        if g is None and self.requires_grad and self._backward is None:
+            g = self._grad = np.zeros_like(self.data)
+        return g
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = value
+
     def zero_grad(self):
-        g = self.grad
-        if g is not None and g.shape == self.shape and g.dtype == self.dtype:
+        """Zero the buffer in place; drop it if .data was re-typed or reshaped."""
+        g = self._grad
+        if g is None:
+            return
+        if g.shape == self.data.shape and g.dtype == self.data.dtype:
             g.fill(0)
-        elif self.requires_grad:                   # first use, or .data was re-typed
-            self.grad = np.zeros_like(self.data)
+        else:
+            self._grad = None
 
     def backward(self):
         """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
@@ -122,11 +140,10 @@ class Tensor:
             if g is None:
                 continue
             if node.requires_grad and node._backward is None:
-                # leaf: fold the flow into the persistent buffer
-                if node.grad is None:
-                    node.grad = g.copy()
-                else:
-                    node.grad += g
+                # leaf: fold the flow into the persistent buffer (zeros on
+                # first use, so the first flow lands as 0 + g)
+                buf = node.grad
+                buf += g
             if node._backward is not None:
                 node._backward(g, seeds)
 
@@ -196,7 +213,6 @@ def _make(data, parents, backward):
     out = Tensor(data)
     if _grad_mode.recording and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out.grad = None            # non-leaf: transient, lives in the seeds dict
         out._parents = tuple(parents)
         out._backward = backward
     return out

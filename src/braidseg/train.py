@@ -115,11 +115,12 @@ class SgdState:
 def sgd_step(named_params, state, lr, momentum=0.99, weight_decay=1e-4):
     """g' = g + wd*theta;  v <- mu*v + g';  theta <- theta - lr*v  (in place)."""
     for name, p in named_params:
-        if p.grad is None or not p.requires_grad:
+        g = p.grad
+        if g is None or not p.requires_grad:
             raise ValueError(f"sgd: missing gradient for parameter {name!r}")
         v = state.vel(name, p.data)
         v *= momentum
-        v += p.grad + weight_decay * p.data
+        v += g + weight_decay * p.data
         p.data -= lr * v
 
 
@@ -171,6 +172,8 @@ def train(model, root, samples, cfg, out_dir=None, log=None):
     mcfg = model.cfg
     state = SgdState()
     params = model.named_params()
+    for _, p in params:
+        p.grad      # allocate every gradient buffer now, before any step's activations
     rows = [("iteration", "epoch", "lr", "loss")]
     iteration = 0
     for epoch in range(cfg.epochs):

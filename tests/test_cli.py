@@ -168,6 +168,23 @@ class TestEvalPredict:
                    str(bad), "--out", str(tmp_path / "o.pgm")])
         assert rc == 2
 
+    def test_predict_negative_pgm_extent_is_a_data_error(self, pipeline, tmp_path):
+        bad = tmp_path / "neg.pgm"
+        bad.write_bytes(b"P5\n-2 -3\n255\n" + bytes(6))
+        rc = main(["predict", "--ckpt", str(pipeline["ckpt"]), "--image",
+                   str(bad), "--out", str(tmp_path / "o.pgm")])
+        assert rc == 2
+
+    def test_eval_non_string_image_is_a_data_error(self, pipeline, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        rec = {"id": "x", "image": 5, "mask": "m.pgm", "class": "solid",
+               "domain": "A", "split": "test"}
+        (data / "manifest.jsonl").write_text(json.dumps(rec) + "\n")
+        rc = main(["eval", "--data", str(data), "--ckpt", str(pipeline["ckpt"]),
+                   "--report", str(tmp_path / "r.csv")])
+        assert rc == 2
+
     @pytest.mark.parametrize("line", ["not json", "5"])
     def test_eval_malformed_manifest_is_a_data_error(self, pipeline, tmp_path, line):
         data = tmp_path / "data"

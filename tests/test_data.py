@@ -74,6 +74,20 @@ class TestPgm:
         with pytest.raises(DataError, match="non-numeric"):
             read_pgm(p)
 
+    @pytest.mark.parametrize("header,n_bytes", [(b"P5\n-2 -3\n255\n", 6),
+                                                (b"P5\n0 5\n255\n", 0),
+                                                (b"P5\n5 0\n255\n", 0),
+                                                (b"P5\n-1 4\n255\n", 4)])
+    def test_read_rejects_non_positive_extent(self, tmp_path, header, n_bytes):
+        p = tmp_path / "f.pgm"
+        p.write_bytes(header + bytes(n_bytes))
+        with pytest.raises(DataError, match="not positive"):
+            read_pgm(p)
+
+    def test_read_rejects_a_path_with_a_nul_byte(self, tmp_path):
+        with pytest.raises(DataError, match="cannot read"):
+            read_pgm(str(tmp_path / "a\x00b.pgm"))
+
 
 class TestManifest:
     def _sample(self):
@@ -108,6 +122,14 @@ class TestManifest:
     def test_rejects_lines_that_are_not_json_objects(self, line):
         with pytest.raises(DataError, match="manifest"):
             Sample.from_json(line)
+
+    @pytest.mark.parametrize("field,value", [
+        ("image", 5), ("mask", None), ("id", ["x"]), ("image", {"p": "x"})])
+    def test_rejects_non_string_names(self, field, value):
+        d = json.loads(self._sample().to_json())
+        d[field] = value
+        with pytest.raises(DataError, match="not a string"):
+            Sample.from_json(json.dumps(d))
 
     def test_rejects_missing_field(self):
         d = json.loads(self._sample().to_json())

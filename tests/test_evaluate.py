@@ -5,7 +5,9 @@ import importlib
 import numpy as np
 import pytest
 
-from braidseg.data import generate_dataset, load_sample, select
+from braidseg.blocks import cast_block
+from braidseg.data import (generate_dataset, load_checkpoint, load_sample,
+                           save_checkpoint, select)
 
 ev = importlib.import_module("braidseg.evaluate")
 from braidseg.evaluate import (AblationCell, EvalReport, EvalRow, ablate,
@@ -87,6 +89,32 @@ class TestPredict:
         predict_mask(model, img)
         assert len(logits) == 1
         assert logits[0]._backward is None and logits[0]._parents == ()
+
+
+class TestNoGradientMemory:
+    """Building, loading and running a model for inference allocates no
+    gradient buffer."""
+
+    @staticmethod
+    def _held(model):
+        return [n for n, p in model.named_params() if p._grad is not None]
+
+    def test_build_load_predict_evaluate(self, corpus, tmp_path):
+        root, samples = corpus
+        model = build_model(TINY, seed=0)
+        assert self._held(model) == []
+        save_checkpoint(model, str(tmp_path / "ckpt"), epoch=0, seed=0)
+        loaded, _ = load_checkpoint(str(tmp_path / "ckpt"))
+        assert self._held(loaded) == []
+        img, _ = load_sample(root, samples[0])
+        predict_mask(loaded, img)
+        assert self._held(loaded) == []
+        evaluate(loaded, root, select(samples, split="val"))
+        assert self._held(loaded) == []
+
+    def test_cast_block_allocates_none(self):
+        model = cast_block(build_model(TINY, seed=0), np.float64)
+        assert self._held(model) == []
 
 
 class TestEvaluate:

@@ -337,6 +337,55 @@ class TestBackwardMechanics:
             T.add(a, b)   # immediately, not at backward
 
 
+class TestGradBuffers:
+    """A leaf allocates its gradient buffer on demand, never at construction."""
+
+    def test_fresh_leaf_holds_no_buffer(self):
+        x = T.Tensor(np.ones((64, 64), dtype=np.float32), requires_grad=True)
+        assert x._grad is None
+        x.zero_grad()                           # allocates nothing
+        assert x._grad is None
+
+    def test_untouched_leaf_reads_exact_zeros_and_keeps_them(self):
+        x = T.Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        g = x.grad
+        assert g.shape == (2, 3) and g.dtype == np.float32
+        assert g.tobytes() == np.zeros((2, 3), np.float32).tobytes()
+        assert x.grad is g and x._grad is g
+
+    def test_retyped_leaf_reads_zeros_of_its_new_dtype(self):
+        x = T.Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        T.tensor_sum(x).backward()
+        assert x.grad.dtype == np.float32
+        x.data = x.data.astype(np.float64)
+        x.zero_grad()                           # drops the stale buffer, allocates nothing
+        assert x._grad is None
+        assert x.grad.dtype == np.float64 and np.array_equal(x.grad, np.zeros(3))
+
+    def test_negative_zero_first_flow_reads_positive_zero(self):
+        # the first flow lands in a zero buffer (0 + g), never as a copy of g
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        T.tensor_sum(T.scale(x, -0.0)).backward()
+        assert x.grad.tobytes() == np.zeros(3).tobytes()
+        assert not np.signbit(x.grad).any()
+
+    def test_non_leaves_and_constants_read_none(self):
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        c = T.Tensor(np.ones(3))
+        y = T.add(x, c)
+        assert y.grad is None and c.grad is None
+        T.tensor_sum(y).backward()
+        assert y.grad is None and c.grad is None
+
+    def test_assigned_none_is_reallocated_as_zeros(self):
+        x = T.Tensor(np.ones(2), requires_grad=True)
+        T.tensor_sum(x).backward()
+        x.grad = None
+        assert x._grad is None
+        T.tensor_sum(T.scale(x, 3.0)).backward()
+        assert np.array_equal(x.grad, [3.0, 3.0])
+
+
 class TestNoGrad:
     def test_ops_inside_record_nothing(self):
         x = T.Tensor(np.ones((2, 3)), requires_grad=True)

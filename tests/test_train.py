@@ -158,6 +158,21 @@ class TestSgd:
             assert p.data.tobytes() == theta.tobytes()
             assert velocity.tobytes() == v_ref.tobytes()
 
+    def test_reads_each_gradient_once(self):
+        reads = []
+
+        class Counting(Tensor):
+            __slots__ = ()
+
+            @property
+            def grad(self):
+                reads.append(1)
+                return Tensor.grad.fget(self)
+
+        p = Counting(np.zeros(2), requires_grad=True)
+        sgd_step([("p", p)], SgdState(), lr=0.1)
+        assert len(reads) == 1
+
     def test_non_trainable_tensor_is_named(self):
         p = Tensor(np.zeros(2), requires_grad=False)
         with pytest.raises(ValueError, match="lonely"):
@@ -307,6 +322,27 @@ class TestTrainLoop:
             train(model, root=corpus[0], samples=corpus[1], cfg=cfg, out_dir=str(out))
         assert len(calls) == cfg.epochs
         assert not out.exists()
+
+    def test_every_buffer_exists_before_the_first_forward(self, corpus):
+        """Training allocates all gradient buffers up front, not among the
+        first step's activations, and leaves them zeroed."""
+        model = build_model(TINY, seed=0)
+        params = model.named_params()
+        assert all(p._grad is None for _, p in params)
+        real_forward = model.forward
+        held_at_call = []
+
+        def spy(xc, xs):
+            held_at_call.append(all(p._grad is not None for _, p in params))
+            return real_forward(xc, xs)
+
+        model.forward = spy
+        train(model, root=corpus[0], samples=corpus[1], cfg=self._cfg(epochs=2))
+        assert held_at_call == [True, True]
+        for name, p in params:
+            g = p._grad
+            assert g is not None and g.shape == p.shape and g.dtype == p.dtype, name
+            assert not g.any(), name
 
     def test_previous_graph_is_freed_before_the_next_forward(self, corpus):
         """Only one step's activations may be alive at a time."""
