@@ -8,13 +8,14 @@ Two directed coupler families connect the branches:
   is added to conv layer j's output. Pairs, in order: (m,3), (2m,4),
   (3m,5); an ablation count r in 0..3 keeps the first r of them.
 
-* feedback couplers (conv branch -> token branch): a conv layer output is
-  aligned to the token width by a 1x1 conv (skipped outright when the
-  widths already match), reshaped to tokens, and handed to a late token
-  layer where it joins the attention residual under its own LN. With d
-  sites they attach to token layers {4m-d+1 .. 4m}, sources cycling
-  8,7,6,8,7,6,... backwards from the last layer, which reproduces the
-  reference wiring (6,7,8 -> 4m-2,4m-1,4m) at d=3.
+* feedback couplers (conv branch -> token branch): a conv layer output
+  passes through a 1x1 conv to the token width (built even when the
+  widths already match, so that it starts at zero), is reshaped to
+  tokens, and is handed to a late token layer where it joins the
+  attention residual under its own LN. With d sites they attach to
+  token layers {4m-d+1 .. 4m}, sources cycling 8,7,6,8,7,6,... backwards
+  from the last layer, which reproduces the reference wiring
+  (6,7,8 -> 4m-2,4m-1,4m) at d=3.
 
 Both coupler output projections are zero-initialized, so a freshly built
 model computes exactly the two independent branches.
@@ -62,19 +63,18 @@ class RfinModule(Block):
 class DkinModule(Block):
     """Feedback coupler: conv map -> tokens plus the LN its target applies.
 
-    The width alignment is skipped entirely when C_c == C (identity); the
-    target transformer layer applies self.ln to the injected tokens inside
-    its residual sum.
+    The zero-initialised 1x1 projection is built even when C_c == C, where
+    it is not needed to align the widths: without it a fresh model would
+    inject LN(fmap) from the start. The target transformer layer applies
+    self.ln to the injected tokens inside its residual sum.
     """
 
     def __init__(self, c_c, c, dtype=np.float32):
-        self.proj = Conv(c_c, c, 1, dtype, init="zeros") if c_c != c else None
+        self.proj = Conv(c_c, c, 1, dtype, init="zeros")
         self.ln = LayerNorm(c, dtype)
 
     def forward(self, fmap):
-        if self.proj is not None:
-            fmap = self.proj.forward(fmap)
-        return T.map_to_tokens(fmap)
+        return T.map_to_tokens(self.proj.forward(fmap))
 
 
 # ---------------------------------------------------------------------

@@ -6,7 +6,10 @@ in order, every coupler reads a feature that already exists and feeds a
 layer that has not yet run, and nothing is left unconsumed at the fuse.
 A malformed plan therefore fails before any parameter exists, and
 BraidNet.encode runs the steps as a plain loop over local dicts of taps,
-domain outputs and pending coupler outputs.
+domain outputs and pending coupler outputs. The loop can also start at
+any step from the state an earlier pass saved before it; the gradient
+audit uses this to rerun only the steps a perturbed parameter affects
+(BraidNet.resume_steps).
 """
 
 from __future__ import annotations
@@ -112,19 +115,35 @@ class BraidNet(Block):
 
     def forward(self, x_c, x_s):
         """x_c [B,1,x_c,x_c], x_s [B,1,x_s,x_s] arrays -> logits [B,1,x_c,x_c]."""
-        fused = self.encode(x_c, x_s)
-        prompts = self.prompt.forward(fused.shape[0])
-        return self.decoder.forward(fused, prompts)
+        return self.decode(self.encode(x_c, x_s))
 
-    def encode(self, x_c, x_s):
-        """Run both branches under the plan; returns the fused [B,C_d,g,g] map."""
-        x_c = self._as_input(x_c, self._cfg.x_c, "x_c")
-        x_s = self._as_input(x_s, self._cfg.x_s, "x_s")
+    def decode(self, fused):
+        """Fused [B,C_d,g,g] map -> logits under the whole-image box prompt."""
+        return self.decoder.forward(fused, self.prompt.forward(fused.shape[0]))
+
+    def encode(self, x_c, x_s, state=None, saved=None):
+        """Run both branches under the plan; returns the fused [B,C_d,g,g] map.
+
+        The loop starts at step 0 on the embedded inputs or, given a `state`
+        that an earlier pass saved, at the step it was saved before; x_c and
+        x_s are then not read. When `saved` is a list, the state before each
+        step this pass runs is appended to it: the pass's own tensors, with
+        copies of its dicts.
+        """
         prior, dom = self.patch_prior, self.conv_domain
-        tokens, dmap = prior.embed_tokens(x_s), x_c
-        taps, domain_out = {}, {}
-        to_domain, to_prior = {}, {}         # coupler outputs by target layer
-        for step in self._plan.steps:
+        if state is None:
+            x_c = self._as_input(x_c, self._cfg.x_c, "x_c")
+            x_s = self._as_input(x_s, self._cfg.x_s, "x_s")
+            start, tokens, dmap = 0, prior.embed_tokens(x_s), x_c
+            taps, domain_out = {}, {}
+            to_domain, to_prior = {}, {}     # coupler outputs by target layer
+        else:                                # copied: a state is resumed many times
+            start, tokens, dmap, *dicts = state
+            taps, domain_out, to_domain, to_prior = map(dict, dicts)
+        for k, step in enumerate(self._plan.steps[start:], start):
+            if saved is not None:
+                saved.append((k, tokens, dmap, dict(taps), dict(domain_out),
+                              dict(to_domain), dict(to_prior)))
             if isinstance(step, RunPrior):
                 inj = {} if step.inject_at is None else \
                     {step.inject_at: to_prior.pop(step.inject_at)}
@@ -140,6 +159,42 @@ class BraidNet(Block):
                 to_prior[step.dst_prior] = (mod.forward(domain_out[step.src_domain]), mod.ln)
             else:                            # FinalFuse, always the last step
                 return final_fuse(prior.project(tokens), dom.project(dmap))
+
+    def resume_steps(self):
+        """Map each parameter name to the index of the first step that reads it.
+
+        Perturbing a parameter leaves the output of every earlier step
+        unchanged, so a forward pass can resume there from the state an
+        unperturbed pass saved. The embedding runs before step 0 and maps to
+        None (run the whole forward); the prompt encoder and the decoder run
+        after the plan and map to len(plan.steps). A DKIN's LayerNorm is
+        applied inside its target prior layer, which runs after the DKIN's
+        own step, so the whole DKIN maps to that step.
+        """
+        steps = self._plan.steps
+        first = {"patch_prior.embed": None, "prompt": len(steps), "decoder": len(steps)}
+        for k, step in enumerate(steps):
+            if isinstance(step, RunPrior):
+                owners = [f"patch_prior.layers.{i - 1}" for i in range(step.lo, step.hi + 1)]
+            elif isinstance(step, RunDomain):
+                owners = [f"conv_domain.layers.{step.j - 1}"]
+            elif isinstance(step, ApplyRfin):
+                owners = [f"rfins.{step.idx}"]
+            elif isinstance(step, ApplyDkin):
+                owners = [f"dkins.{step.idx}"]
+            else:
+                owners = ["patch_prior.neck", "conv_domain.out_proj"]
+            for owner in owners:
+                first.setdefault(owner, k)
+        out = {}
+        for name, _ in self.named_params():
+            parts = name.split(".")
+            owner = next((o for o in (".".join(parts[:n]) for n in range(1, len(parts)))
+                          if o in first), None)
+            if owner is None:
+                raise KeyError(f"no plan step reads parameter {name}")
+            out[name] = first[owner]
+        return out
 
     def _as_input(self, x, extent, name):
         if isinstance(x, Tensor):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from types import SimpleNamespace
 
 from braidseg import model as model_mod
 from braidseg.fusion import (ApplyDkin, ApplyRfin, CycleError, FinalFuse,
@@ -260,6 +261,121 @@ class TestZeroCouplerIdentity:
         xs = rng.random((2, 1, 32, 32), dtype=np.float32)
         assert np.array_equal(full.forward(xc, xs).data,
                               bare.forward(xc, xs).data)
+
+    def test_fresh_couplers_start_inert_at_equal_widths(self):
+        """At C_c == C no width alignment is needed, but the feedback
+        coupler still holds its zero projection, so a fresh model computes
+        the uncoupled one bit for bit."""
+        cfg = ModelConfig(m=2, C=16, C_c=16, C_d=8, heads=2, x_c=8, x_s=32,
+                          window=2, rfin_count=2, dkin_count=2)
+        full = build_model(cfg, seed=0)
+        bare = build_model(replace(cfg, rfin_count=0, dkin_count=0), seed=0)
+        rng = np.random.default_rng(5)
+        xc = rng.random((2, 1, 8, 8), dtype=np.float32)
+        xs = rng.random((2, 1, 32, 32), dtype=np.float32)
+        assert full.forward(xc, xs).data.tobytes() == bare.forward(xc, xs).data.tobytes()
+
+
+class TestResumeFromSavedState:
+    """encode() resumed at BraidNet.resume_steps() from a saved state is
+    what the gradient audit runs instead of a whole forward pass."""
+
+    # float64 and all six couplers, as the audit runs them
+    CFG = ModelConfig(m=3, C=8, C_c=4, C_d=4, heads=2, x_c=8, x_s=32, window=2)
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from braidseg.tensor import no_grad
+        from braidseg.train import seg_loss
+
+        net = build_model(self.CFG, seed=3, dtype=np.float64)
+        rng = np.random.default_rng(8)
+        for _, p in net.named_params():
+            # off zero, so that every coupler tensor moves the loss
+            if not p.data.any():
+                p.data = rng.normal(0.0, 0.05, size=p.shape)
+        xc = rng.random((1, 1, 8, 8))
+        xs = rng.random((1, 1, 32, 32))
+        target = (rng.random((1, 1, 8, 8)) > 0.5).astype(np.float64)
+        # the gradients pick the element each parameter's probe perturbs
+        seg_loss(net.forward(xc, xs), target).backward()
+        saved = []
+        with no_grad():
+            fused = net.encode(xc, xs, saved=saved)
+
+        def loss(k=None):
+            with no_grad():
+                if k is None:
+                    logits = net.forward(xc, xs)
+                elif k == len(saved):
+                    logits = net.decode(fused)
+                else:
+                    logits = net.decode(net.encode(xc, xs, state=saved[k]))
+                return float(seg_loss(logits, target).data)
+
+        return SimpleNamespace(net=net, saved=saved, fused=fused, loss=loss,
+                               base=loss(), xc=xc, xs=xs, no_grad=no_grad)
+
+    def test_every_parameter_maps_to_a_step(self, run):
+        net = run.net
+        assert len(net.rfins) == 3 and len(net.dkins) == 3
+        starts = net.resume_steps()
+        n = len(net.plan.steps)
+        assert list(starts) == [name for name, _ in net.named_params()]
+        for name, k in starts.items():
+            if name.startswith("patch_prior.embed."):
+                assert k is None
+            elif name.startswith(("prompt.", "decoder.")):
+                assert k == n
+            else:
+                assert 0 <= k < n, name
+        assert [s[0] for s in run.saved] == list(range(n))
+
+    def test_resumed_loss_equals_whole_forward_bitwise(self, run):
+        starts = run.net.resume_steps()
+        inert = []
+        for name, p in run.net.named_params():
+            idx = np.unravel_index(np.argmax(np.abs(p.grad)), p.shape)
+            keep = p.data[idx]
+            p.data[idx] = keep + 0.1 * (1.0 + abs(keep))
+            try:
+                whole, resumed = run.loss(), run.loss(starts[name])
+            finally:
+                p.data[idx] = keep
+            assert resumed == whole, name
+            # a resume point past the first reader would reread stale state
+            # and still match an unperturbed whole pass: the perturbation
+            # must actually show, except where the loss cannot see it
+            if np.abs(p.grad).max() > 1e-14:
+                assert whole != run.base, name
+            else:
+                inert.append(name)
+        # only biases are inert: those an instance norm removes right away,
+        # and attention key biases, which shift every score of a query alike
+        assert all(n.endswith("b") for n in inert), inert
+
+    def test_resuming_leaves_the_saved_state_as_it_was(self, run):
+        before = [tuple(sorted(d)) for s in run.saved for d in s[3:]]
+        with run.no_grad():
+            run.net.encode(run.xc, run.xs, state=run.saved[0])
+        assert [tuple(sorted(d)) for s in run.saved for d in s[3:]] == before
+
+    def test_saved_tensors_share_no_memory_with_parameters(self, run):
+        """Probes edit p.data in place; a saved view of a parameter would
+        see the edit and resume from a state that was never computed."""
+        from braidseg.tensor import Tensor
+
+        held = [run.fused]
+        for _, tokens, dmap, *dicts in run.saved:
+            held += [tokens, dmap]
+            for d in dicts:
+                for v in d.values():
+                    held += [t for t in (v if isinstance(v, tuple) else (v,))
+                             if isinstance(t, Tensor)]
+        params = [p.data for _, p in run.net.named_params()]
+        for t in held:
+            for q in params:
+                assert not np.shares_memory(t.data, q)
 
 
 class TestInterpreterAgainstManualScript:

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from braidseg import tensor as T
-from braidseg.gradcheck import (check_op, directional_grad, numeric_grad,
-                                rel_error)
+from braidseg.gradcheck import (check_model, check_op, directional_grad,
+                                numeric_grad, rel_error)
+from braidseg.model import ModelConfig
 from braidseg.tensor import Tensor
 
 
@@ -95,3 +96,42 @@ class TestOracleSensitivity:
         w = rng.normal(size=(6, 3))
         assert check_op(T.matmul, (x, w), wrt=1) < 1e-7
         assert check_op(lambda t: T.softmax(t, axis=-1), (x,), wrt=0) < 1e-6
+
+
+class TestCheckModelProbes:
+    """A single-element probe that straddles an activation kink must not
+    fail correct code, and the retry that prevents it must not hide a
+    wrong backward rule."""
+
+    def test_a_probe_straddling_a_kink_passes_on_retry(self):
+        # at h = 1e-5 the probes of conv_domain.layers.0.conv1.w and n1.b
+        # read errors near 1e-2 on this config and seed while their
+        # directional errors are near 1e-8: a leaky-ReLU kink, not a bug
+        cfg = ModelConfig(m=3, C=12, C_c=8, C_d=8, heads=3, x_c=16, x_s=64, window=2)
+        lines = []
+        rows, max_err, _ = check_model(cfg, seed=104, log=lines.append)
+        assert max_err < 1e-4
+        retried = {line.split()[1] for line in lines if "h/8" in line}
+        assert {"conv_domain.layers.0.conv1.w", "conv_domain.layers.0.n1.b"} <= retried
+
+    def test_a_planted_backward_bug_still_fails(self, monkeypatch):
+        straight = T.leaky_relu
+
+        def crooked(x, *args, **kwargs):
+            out = straight(x, *args, **kwargs)
+            rule = out._backward
+            if rule is not None:             # 1% too steep, forward unchanged
+                out._backward = lambda g, seeds: rule(1.01 * g, seeds)
+            return out
+
+        monkeypatch.setattr(T, "leaky_relu", crooked)
+        cfg = ModelConfig(m=1, C=8, C_c=4, C_d=4, heads=2, x_c=8, x_s=32,
+                          window=2, rfin_count=1, dkin_count=1)
+        lines = []
+        rows, max_err, _ = check_model(cfg, seed=0, log=lines.append)
+        assert max_err > 1e-3
+        probe_fails = {name for name, _, _, e_probe in rows if e_probe >= 1e-4}
+        assert "conv_domain.layers.0.conv1.w" in probe_fails
+        # the retry ran on those probes and the bug survived it
+        assert all("h/8" in line for line in lines if line.startswith("FAIL")
+                   and line.split()[1] in probe_fails)
