@@ -3,7 +3,7 @@ Reading a coupling plan
 =======================
 
 The two encoder branches do not run one after the other. The plan object
-decides the interleaving: which transformer segment runs next, where a
+decides the interleaving: which transformer layer runs next, where a
 forward injection lands in the conv branch, and where the conv branch
 feeds back into the transformer. This demo prints a few plans and shows
 the one configuration that cannot exist.
@@ -14,9 +14,9 @@ from braidseg.fusion import CycleError, build_plan
 # the default depth: m=3 means 12 transformer layers and 8 conv layers
 plan = build_plan(m=3, rfin_count=3, dkin_count=3)
 print("=== m=3, r=3, d=3 (default) ===")
-print("forward pairs (prior tap -> conv layer):", plan.rfin_pairs)
+print("forward pairs (global prior layer -> conv layer):", plan.rfin_pairs)
 print("feedback pairs (conv layer -> prior layer):", plan.dkin_pairs)
-print("injection sites inside the transformer:", plan.injection_layers)
+print("injection sites inside the transformer:", [t for _, t in plan.dkin_pairs])
 print()
 print(plan.trace())
 

@@ -215,13 +215,13 @@ def window_merge(x, w, g, bsz):
 class TransformerBlock(Block):
     """Pre-norm transformer layer with an optional additive injection.
 
-    out' = MSA(LN(x)) [+ LN(injected)] + x
+    out' = MSA(LN(x)) [+ injected] + x
     out  = out' + MLP(LN(out'))
 
-    The injection is a token tensor from the other branch; its LN uses the
-    caller-supplied parameter pair (each injection site owns one), so a
-    zero injected tensor contributes exactly zero and the layer reduces
-    bitwise to the uninjected form.
+    The injection is a token tensor from the other branch, already
+    layer-normalized by the coupler that produced it (fusion.DkinModule).
+    A zero injected tensor contributes exactly zero, so the layer then
+    reduces bitwise to the uninjected form.
     """
 
     def __init__(self, c, heads, window=None, dtype=np.float32):
@@ -231,7 +231,7 @@ class TransformerBlock(Block):
         self.mlp = Mlp(c, 4, dtype)
         self._window = window    # None = global attention
 
-    def forward(self, x, injected=None, injected_ln=None):
+    def forward(self, x, injected=None):
         h = self.ln1.forward(x)
         if self._window is None:
             a = self.attn.forward(h, h, h)
@@ -242,9 +242,7 @@ class TransformerBlock(Block):
             aw = self.attn.forward(hw, hw, hw)
             a = window_merge(aw, self._window, g, bsz)
         if injected is not None:
-            if injected_ln is None:
-                raise ValueError("transformer block: injection requires its LN parameters")
-            a = T.add(a, injected_ln.forward(injected))
+            a = T.add(a, injected)
         x = T.add(a, x)
         return T.add(x, self.mlp.forward(self.ln2.forward(x)))
 

@@ -291,6 +291,8 @@ def generate_dataset(out_dir, seed, n_train, n_val, n_test, size=64,
     for d in domains:
         if d not in DOMAINS:
             raise DataError(f"unknown domain {d!r} (have {DOMAINS})")
+    if not domains or len(set(domains)) != len(domains):
+        raise DataError(f"domain list must be non-empty and without repeats, got {list(domains)}")
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "masks"), exist_ok=True)
 
@@ -358,11 +360,28 @@ def save_checkpoint(model, out_dir, epoch, seed):
         f.write("\n")
 
 
+def _is_int(v):
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _valid_entry(entry):
+    """A checkpoint tensor entry: a file in the checkpoint directory itself
+    and a shape that is a list of ints."""
+    if not isinstance(entry, dict):
+        return False
+    file, shape = entry.get("file"), entry.get("shape")
+    return (isinstance(file, str) and os.path.basename(file) == file
+            and file not in ("", ".", "..") and "\0" not in file
+            and isinstance(shape, list) and all(_is_int(n) for n in shape))
+
+
 def load_checkpoint(ckpt_dir, config=None):
     """Rebuild the model from a checkpoint directory -> (model, meta).
 
     config overrides the stored one (shapes must still match; mismatches
-    raise naming the offending tensor).
+    raise naming the offending tensor). Every tensor entry is checked
+    before any weight file is read, and a malformed entry or stored config
+    raises DataError.
     """
     from .model import BraidNet, ModelConfig
 
@@ -381,12 +400,27 @@ def load_checkpoint(ckpt_dir, config=None):
         raise DataError(
             f"{ckpt_dir}: checkpoint format version {version!r}, "
             f"this build reads {CHECKPOINT_VERSION}")
-    if config is None and "config" not in meta:
-        raise DataError(f"{meta_path}: no model config")
-    cfg = config if config is not None else ModelConfig.from_dict(meta["config"])
-    model = BraidNet(cfg, dtype=np.float32)
-
     stored = meta.get("tensors", {})
+    if not isinstance(stored, dict):
+        raise DataError(f"{meta_path}: \"tensors\" is not a JSON object")
+    for name, entry in stored.items():
+        if not _valid_entry(entry):
+            raise DataError(
+                f"{meta_path}: tensor {name!r} needs a bare file name and a "
+                f"list of ints as shape, got {entry!r}")
+    if config is not None:
+        model = BraidNet(config, dtype=np.float32)
+    elif "config" not in meta:
+        raise DataError(f"{meta_path}: no model config")
+    else:
+        cfg = meta["config"]
+        if not isinstance(cfg, dict) or not all(_is_int(v) for v in cfg.values()):
+            raise DataError(f"{meta_path}: model config is not an object of ints: {cfg!r}")
+        try:
+            model = BraidNet(ModelConfig.from_dict(cfg), dtype=np.float32)
+        except ValueError as e:           # unknown keys, invalid or cyclic combinations
+            raise DataError(f"{meta_path}: stored model config: {e}") from None
+
     for name, p in model.named_params():
         entry = stored.get(name)
         if entry is None:

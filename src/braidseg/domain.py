@@ -37,10 +37,6 @@ class DomainBranch(Block):
             raise ValueError(f"domain layer {j} out of range 1..{N_LAYERS}")
         y = self.layers[j - 1].forward(x)
         if injection is not None:
-            if injection.shape != y.shape:
-                raise ValueError(
-                    f"domain layer {j}: injected feature {injection.shape} "
-                    f"does not match block output {y.shape}")
             y = T.add(y, injection)
         return y
 

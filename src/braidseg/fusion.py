@@ -2,7 +2,7 @@
 
 Two directed coupler families connect the branches:
 
-* forward couplers (token branch -> conv branch): the tap from global
+* forward couplers (token branch -> conv branch): the output of global
   token layer i is reshaped to a map, passed through a 1x1 conv to the
   conv-branch width, instance-normalized and LeakyReLU-gated; the result
   is added to conv layer j's output. Pairs, in order: (m,3), (2m,4),
@@ -11,19 +11,21 @@ Two directed coupler families connect the branches:
 * feedback couplers (conv branch -> token branch): a conv layer output
   passes through a 1x1 conv to the token width (built even when the
   widths already match, so that it starts at zero), is reshaped to
-  tokens, and is handed to a late token layer where it joins the
-  attention residual under its own LN. With d sites they attach to
-  token layers {4m-d+1 .. 4m}, sources cycling 8,7,6,8,7,6,... backwards
-  from the last layer, which reproduces the reference wiring
-  (6,7,8 -> 4m-2,4m-1,4m) at d=3.
+  tokens and layer-normalized, and joins the attention residual of a
+  late token layer. With d sites they attach to token layers
+  {4m-d+1 .. 4m}, sources cycling 8,7,6,8,7,6,... backwards from the
+  last layer, which reproduces the reference wiring (6,7,8 ->
+  4m-2,4m-1,4m) at d=3.
 
 Both coupler output projections are zero-initialized, so a freshly built
 model computes exactly the two independent branches.
 
-The plan is a static step list: running prior segments, running conv
-layers, applying couplers, and a final element-wise fuse of the two
-projected maps. Scheduling requires every feedback target to come after
-the last forward-coupler source (3m < 4m-d+1, i.e. d <= m); otherwise
+The plan is a static step list in which every step is one layer of
+either branch, one coupler, or the final element-wise fuse of the two
+projected maps. A forward coupler directly follows its source layer; a
+feedback coupler comes before the prior layers that lead up to its
+target. Scheduling requires every feedback target to come after the last
+forward-coupler source (3m < 4m-d+1, i.e. d <= m); otherwise
 construction fails with an error naming the layers on the cycle.
 Construction also dry-runs the step list (check_schedule), so the model
 can execute it as a plain loop with no checks of its own.
@@ -61,12 +63,12 @@ class RfinModule(Block):
 
 
 class DkinModule(Block):
-    """Feedback coupler: conv map -> tokens plus the LN its target applies.
+    """Feedback coupler: conv map -> layer-normalized tokens.
 
     The zero-initialised 1x1 projection is built even when C_c == C, where
     it is not needed to align the widths: without it a fresh model would
-    inject LN(fmap) from the start. The target transformer layer applies
-    self.ln to the injected tokens inside its residual sum.
+    inject LN(fmap) from the start. The target transformer layer adds the
+    result to its attention residual.
     """
 
     def __init__(self, c_c, c, dtype=np.float32):
@@ -74,7 +76,7 @@ class DkinModule(Block):
         self.ln = LayerNorm(c, dtype)
 
     def forward(self, fmap):
-        return T.map_to_tokens(self.proj.forward(fmap))
+        return self.ln.forward(T.map_to_tokens(self.proj.forward(fmap)))
 
 
 # ---------------------------------------------------------------------
@@ -83,9 +85,7 @@ class DkinModule(Block):
 
 @dataclass(frozen=True)
 class RunPrior:
-    lo: int
-    hi: int
-    inject_at: int | None = None     # layer index fed by a pending injection
+    i: int
 
 
 @dataclass(frozen=True)
@@ -139,46 +139,40 @@ class FusionPlan:
         check_schedule(self.steps, m)
 
     def _build(self):
-        m, r = self.m, self.rfin_count
         steps = []
-        dom_cursor = 0
-        prior_cursor = 0
+        done = {RunPrior: 0, RunDomain: 0}      # layers run so far, by branch
 
-        def run_domain_through(j):
-            nonlocal dom_cursor
-            while dom_cursor < j:
-                dom_cursor += 1
-                steps.append(RunDomain(dom_cursor))
+        def run_through(kind, last):
+            while done[kind] < last:
+                done[kind] += 1
+                steps.append(kind(done[kind]))
 
-        for k, (seg_end, dst) in enumerate(((m, 3), (2 * m, 4), (3 * m, 5))):
-            steps.append(RunPrior(prior_cursor + 1, seg_end))
-            prior_cursor = seg_end
-            if k < r:
-                steps.append(ApplyRfin(k, seg_end, dst))
-            run_domain_through(dst)
+        for k, (mult, dst) in enumerate(RFIN_TABLE):
+            run_through(RunPrior, mult * self.m)
+            if k < self.rfin_count:
+                steps.append(ApplyRfin(k, mult * self.m, dst))
+            run_through(RunDomain, dst)
 
         for idx, (src, tgt) in enumerate(self.dkin_pairs):
-            run_domain_through(src)
+            run_through(RunDomain, src)
             steps.append(ApplyDkin(idx, src, tgt))
-            steps.append(RunPrior(prior_cursor + 1, tgt, inject_at=tgt))
-            prior_cursor = tgt
+            run_through(RunPrior, tgt)
 
-        run_domain_through(N_LAYERS)
-        if prior_cursor < 4 * m:
-            steps.append(RunPrior(prior_cursor + 1, 4 * m))
+        run_through(RunDomain, N_LAYERS)
+        run_through(RunPrior, 4 * self.m)
         steps.append(FinalFuse())
         return steps
 
-    @property
-    def injection_layers(self):
-        return tuple(t for _, t in self.dkin_pairs)
-
     def trace(self):
-        """Deterministic one-step-per-line text rendering of the schedule."""
-        lines = []
-        for s in self.steps:
+        """Deterministic text rendering of the schedule: one line per step,
+        except that each run of consecutive prior layers shares one line."""
+        lines, lo = [], None
+        for k, s in enumerate(self.steps):
             if isinstance(s, RunPrior):
-                lines.append(f"prior[{s.lo}..{s.hi}]")
+                lo = lo or s.i
+                if not isinstance(self.steps[k + 1], RunPrior):
+                    lines.append(f"prior[{lo}..{s.i}]")
+                    lo = None
             elif isinstance(s, RunDomain):
                 lines.append(f"domain[{s.j}]")
             elif isinstance(s, ApplyRfin):
@@ -194,40 +188,36 @@ def check_schedule(steps, m):
     """Dry-run a step list for a 4m-layer prior branch without tensors.
 
     Raises RuntimeError("plan bug: ...") at the first step that would run
-    a layer twice or out of order, read a tap or domain output before it
-    exists, target a layer that already ran, inject a feature nobody
-    produced, or that comes after the fuse; and at the fuse if a branch
-    is unfinished or a coupler output was never consumed.
+    a layer twice or out of order, apply a forward coupler anywhere but
+    directly after its source prior layer, read a domain output before it
+    exists, target a layer that already ran, or that comes after the fuse;
+    and at the fuse if a branch is unfinished or a coupler output was never
+    consumed.
     """
     def bug(msg):
         raise RuntimeError(f"plan bug: {msg}")
 
     n_prior = 4 * m
     prior_done = domain_done = 0
-    taps, to_domain, to_prior = set(), set(), set()   # pending outputs by target layer
+    to_domain, to_prior = set(), set()   # pending outputs by target layer
     fused = False
     for s in steps:
         if fused:
             bug(f"step {s!r} after final fuse")
         if isinstance(s, RunPrior):
-            if s.lo != prior_done + 1 or not s.lo <= s.hi <= n_prior:
-                bug(f"prior segment [{s.lo}..{s.hi}] but {prior_done} of {n_prior} layers done")
-            if s.inject_at is not None:
-                if s.inject_at not in to_prior:
-                    bug(f"prior layer {s.inject_at} expects an injection that was never produced")
-                if not s.lo <= s.inject_at <= s.hi:
-                    bug(f"injection at prior layer {s.inject_at} outside [{s.lo}..{s.hi}]")
-                to_prior.remove(s.inject_at)
-            taps.update(g for g in (m, 2 * m, 3 * m) if s.lo <= g <= s.hi)
-            prior_done = s.hi
+            if s.i != prior_done + 1 or s.i > n_prior:
+                bug(f"prior layer {s.i} but {prior_done} of {n_prior} done")
+            to_prior.discard(s.i)
+            prior_done = s.i
         elif isinstance(s, RunDomain):
             if s.j != domain_done + 1 or s.j > N_LAYERS:
                 bug(f"domain layer {s.j} but {domain_done} done")
             to_domain.discard(s.j)
             domain_done = s.j
         elif isinstance(s, ApplyRfin):
-            if s.src_prior not in taps:
-                bug(f"forward coupler reads prior tap {s.src_prior} before it exists")
+            if s.src_prior != prior_done:
+                bug(f"forward coupler reads prior layer {s.src_prior} "
+                    f"but prior layer {prior_done} ran last")
             if s.dst_domain <= domain_done:
                 bug(f"forward coupler targets domain {s.dst_domain} which already ran")
             to_domain.add(s.dst_domain)

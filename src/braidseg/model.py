@@ -5,11 +5,12 @@ once, symbolically, when it is built: every layer runs exactly once and
 in order, every coupler reads a feature that already exists and feeds a
 layer that has not yet run, and nothing is left unconsumed at the fuse.
 A malformed plan therefore fails before any parameter exists, and
-BraidNet.encode runs the steps as a plain loop over local dicts of taps,
-domain outputs and pending coupler outputs. The loop can also start at
-any step from the state an earlier pass saved before it; the gradient
-audit uses this to rerun only the steps a perturbed parameter affects
-(BraidNet.resume_steps).
+BraidNet.encode runs the steps as a plain loop: one layer of either
+branch per step, each handed the coupler output pending for it, if any.
+The loop keeps the current tokens and map, the domain outputs and the
+pending coupler outputs. It can also start at any step from the state an
+earlier pass saved before it; the gradient audit uses this to rerun only
+the steps a perturbed parameter affects (BraidNet.resume_steps).
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class BraidNet(Block):
         # plan construction first: invalid wiring must fail before any
         # parameter exists (this is where the cycle error surfaces)
         plan = build_plan(cfg.m, cfg.rfin_count, cfg.dkin_count)
-        self.patch_prior = PriorBranch(cfg, dtype, injection_layers=plan.injection_layers)
+        self.patch_prior = PriorBranch(cfg, dtype)
         self.conv_domain = DomainBranch(cfg, dtype)
         self.rfins = [RfinModule(cfg.C, cfg.C_c, dtype) for _ in range(cfg.rfin_count)]
         self.dkins = [DkinModule(cfg.C_c, cfg.C, dtype) for _ in range(cfg.dkin_count)]
@@ -135,28 +136,24 @@ class BraidNet(Block):
             x_c = self._as_input(x_c, self._cfg.x_c, "x_c")
             x_s = self._as_input(x_s, self._cfg.x_s, "x_s")
             start, tokens, dmap = 0, prior.embed_tokens(x_s), x_c
-            taps, domain_out = {}, {}
+            domain_out = {}
             to_domain, to_prior = {}, {}     # coupler outputs by target layer
         else:                                # copied: a state is resumed many times
             start, tokens, dmap, *dicts = state
-            taps, domain_out, to_domain, to_prior = map(dict, dicts)
+            domain_out, to_domain, to_prior = map(dict, dicts)
         for k, step in enumerate(self._plan.steps[start:], start):
             if saved is not None:
-                saved.append((k, tokens, dmap, dict(taps), dict(domain_out),
+                saved.append((k, tokens, dmap, dict(domain_out),
                               dict(to_domain), dict(to_prior)))
             if isinstance(step, RunPrior):
-                inj = {} if step.inject_at is None else \
-                    {step.inject_at: to_prior.pop(step.inject_at)}
-                tokens, new_taps = prior.forward_segment(tokens, step.lo, step.hi, inj)
-                taps.update(new_taps)
+                tokens = prior.forward_layer(step.i, tokens, to_prior.pop(step.i, None))
             elif isinstance(step, RunDomain):
                 dmap = dom.forward_layer(step.j, dmap, to_domain.pop(step.j, None))
                 domain_out[step.j] = dmap
-            elif isinstance(step, ApplyRfin):
-                to_domain[step.dst_domain] = self.rfins[step.idx].forward(taps[step.src_prior])
+            elif isinstance(step, ApplyRfin):         # directly after its source layer
+                to_domain[step.dst_domain] = self.rfins[step.idx].forward(tokens)
             elif isinstance(step, ApplyDkin):
-                mod = self.dkins[step.idx]
-                to_prior[step.dst_prior] = (mod.forward(domain_out[step.src_domain]), mod.ln)
+                to_prior[step.dst_prior] = self.dkins[step.idx].forward(domain_out[step.src_domain])
             else:                            # FinalFuse, always the last step
                 return final_fuse(prior.project(tokens), dom.project(dmap))
 
@@ -167,15 +164,13 @@ class BraidNet(Block):
         unchanged, so a forward pass can resume there from the state an
         unperturbed pass saved. The embedding runs before step 0 and maps to
         None (run the whole forward); the prompt encoder and the decoder run
-        after the plan and map to len(plan.steps). A DKIN's LayerNorm is
-        applied inside its target prior layer, which runs after the DKIN's
-        own step, so the whole DKIN maps to that step.
+        after the plan and map to len(plan.steps).
         """
         steps = self._plan.steps
         first = {"patch_prior.embed": None, "prompt": len(steps), "decoder": len(steps)}
         for k, step in enumerate(steps):
             if isinstance(step, RunPrior):
-                owners = [f"patch_prior.layers.{i - 1}" for i in range(step.lo, step.hi + 1)]
+                owners = [f"patch_prior.layers.{step.i - 1}"]
             elif isinstance(step, RunDomain):
                 owners = [f"conv_domain.layers.{step.j - 1}"]
             elif isinstance(step, ApplyRfin):

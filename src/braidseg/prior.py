@@ -1,13 +1,11 @@
 """Transformer prior branch: 4m layers over 16x16 patch tokens.
 
 Global attention runs exactly at 1-based layer indices {m, 2m, 3m}; every
-other layer attends inside non-overlapping windows. The global layers'
-outputs are the taps handed to the forward cross-branch couplers; feature
-injections from the other branch enter selected late layers as an extra
-additive term. The branch runs in resumable segments so the fusion plan
-can interleave it with the convolutional branch; composing segments is
-bitwise identical to one monolithic pass because each layer's arithmetic
-is unchanged.
+other layer attends inside non-overlapping windows. The branch runs one
+layer at a time, so the fusion plan can interleave it with the
+convolutional branch: a forward coupler reads the output of the global
+layer that just ran, and a feedback coupler's tokens join the attention
+residual of the layer the plan hands them to.
 """
 
 from __future__ import annotations
@@ -31,63 +29,29 @@ class Neck(Block):
 
 
 class PriorBranch(Block):
-    """The 4m-layer token encoder with taps and injection sites.
+    """The 4m-layer token encoder and its neck."""
 
-    injection_layers: 1-based indices allowed to receive an injection.
-    BraidNet passes the fusion plan's feedback targets, the one place the
-    sites are stated; the default () admits no injection at all.
-    """
-
-    def __init__(self, cfg, dtype=np.float32, injection_layers=()):
+    def __init__(self, cfg, dtype=np.float32):
         m = cfg.m
-        self._global = (m, 2 * m, 3 * m)
         grid = cfg.x_s // PatchEmbed.PATCH
         self.embed = PatchEmbed(cfg.C, grid, dtype)
         self.layers = [
             TransformerBlock(cfg.C, cfg.heads,
-                             window=None if i in self._global else cfg.window, dtype=dtype)
+                             window=None if i in (m, 2 * m, 3 * m) else cfg.window, dtype=dtype)
             for i in range(1, 4 * m + 1)
         ]
         self.neck = Neck(cfg.C, cfg.C_d, dtype)
-        self._allowed = frozenset(injection_layers)
-
-    @property
-    def global_layers(self):
-        return self._global
 
     def embed_tokens(self, x_s):
         return self.embed.forward(x_s)
 
-    def forward_segment(self, tokens, lo, hi, injections=None):
-        """Run layers lo..hi inclusive (1-based).
-
-        injections maps layer index -> (token tensor, LayerNorm block) and
-        may only name layers inside this branch's allowed injection set.
-        Returns (tokens, taps) where taps collects the outputs of any
-        global layer inside the segment.
-        """
+    def forward_layer(self, i, tokens, injection=None):
+        """Run layer i (1-based); add the pending cross-branch tokens to
+        the attention residual if one is attached to this layer."""
         n = len(self.layers)
-        if not (1 <= lo <= hi <= n):
-            raise ValueError(f"prior segment [{lo}..{hi}] out of range 1..{n}")
-        injections = injections or {}
-        for i in injections:
-            if i not in self._allowed:
-                raise ValueError(
-                    f"prior layer {i} is not an injection site "
-                    f"(allowed: {sorted(self._allowed)})")
-            if not (lo <= i <= hi):
-                raise ValueError(f"injection at layer {i} outside segment [{lo}..{hi}]")
-        taps = {}
-        for i in range(lo, hi + 1):
-            inj = injections.get(i)
-            if inj is None:
-                tokens = self.layers[i - 1].forward(tokens)
-            else:
-                injected, ln = inj
-                tokens = self.layers[i - 1].forward(tokens, injected=injected, injected_ln=ln)
-            if i in self._global:
-                taps[i] = tokens
-        return tokens, taps
+        if not (1 <= i <= n):
+            raise ValueError(f"prior layer {i} out of range 1..{n}")
+        return self.layers[i - 1].forward(tokens, injection)
 
     def project(self, tokens):
         return self.neck.forward(tokens)

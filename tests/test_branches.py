@@ -1,11 +1,14 @@
-"""Encoder branch behavior: segmented execution, taps, injection rules."""
+"""Encoder branch behavior: per-layer execution, injections, grids."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from braidseg.blocks import LayerNorm, cast_block, init_params
+from braidseg.blocks import init_params
 from braidseg.domain import N_LAYERS, DomainBranch
-from braidseg.model import ModelConfig
+from braidseg.fusion import final_fuse
+from braidseg.model import ModelConfig, build_model
 from braidseg.prior import PriorBranch
 from braidseg.tensor import Tensor
 
@@ -13,8 +16,8 @@ TINY = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32, window=2,
                    rfin_count=2, dkin_count=2)
 
 
-def tiny_prior(seed=0, **kw):
-    br = PriorBranch(TINY, **kw)
+def tiny_prior(seed=0):
+    br = PriorBranch(TINY)
     init_params(br, seed)
     return br
 
@@ -33,80 +36,59 @@ class TestPriorBranch:
     def test_layer_count_and_global_positions(self):
         br = tiny_prior()
         assert len(br.layers) == 4 * TINY.m
-        assert br.global_layers == (2, 4, 6)
         for i, layer in enumerate(br.layers, start=1):
             expects_global = i in (2, 4, 6)
             assert (layer._window is None) == expects_global
 
     @pytest.mark.parametrize("seed", range(3))
     def test_segment_composition_is_bitwise(self, seed):
-        """Running 1..8 in one go equals any split into segments, bit for
-        bit, because segmentation changes no arithmetic."""
+        """The plan runs the prior layers in segments between domain
+        layers; that changes no bit against running each branch straight
+        through with forward_layer."""
+        net = build_model(replace(TINY, rfin_count=0, dkin_count=0), seed=seed)
         rng = np.random.default_rng(seed)
-        br = tiny_prior(seed)
-        x = rand_image(rng, TINY.x_s)
-        full, taps_full = br.forward_segment(br.embed_tokens(x), 1, len(br.layers))
+        xc, xs = rand_image(rng, TINY.x_c), rand_image(rng, TINY.x_s)
+        pr, dom = net.patch_prior, net.conv_domain
+        t = pr.embed_tokens(xs)
+        for i in range(1, len(pr.layers) + 1):
+            t = pr.forward_layer(i, t)
+        d = xc
+        for j in range(1, N_LAYERS + 1):
+            d = dom.forward_layer(j, d)
+        want = final_fuse(pr.project(t), dom.project(d))
+        assert net.encode(xc, xs).data.tobytes() == want.data.tobytes()
 
-        t = br.embed_tokens(x)
-        taps_parts = {}
-        cuts = [(1, 2), (3, 3), (4, 7), (8, 8)]
-        for lo, hi in cuts:
-            t, taps = br.forward_segment(t, lo, hi)
-            taps_parts.update(taps)
-        assert np.array_equal(full.data, t.data)
-        assert sorted(taps_full) == sorted(taps_parts) == [2, 4, 6]
-        for k in taps_full:
-            assert np.array_equal(taps_full[k].data, taps_parts[k].data)
-
-    def test_taps_hold_the_global_layer_outputs(self):
-        rng = np.random.default_rng(5)
-        br = tiny_prior()
-        t = br.embed_tokens(rand_image(rng, TINY.x_s))
-        t2, taps = br.forward_segment(t, 1, 2)
-        assert list(taps) == [2]
-        assert np.array_equal(taps[2].data, t2.data)
-
-    def test_segment_bounds_validation(self):
+    def test_layer_index_bounds(self):
         br = tiny_prior()
         t = br.embed_tokens(rand_image(np.random.default_rng(0), TINY.x_s))
-        with pytest.raises(ValueError):
-            br.forward_segment(t, 0, 3)
-        with pytest.raises(ValueError):
-            br.forward_segment(t, 3, 99)
-        with pytest.raises(ValueError):
-            br.forward_segment(t, 5, 4)
+        for i in (0, 9):
+            with pytest.raises(ValueError, match="out of range"):
+                br.forward_layer(i, t)
 
-    def test_injection_only_at_registered_sites(self):
+    def test_any_layer_takes_an_injection(self):
+        """forward_layer hands the injection to the block, windowed or
+        global; the plan alone decides which layers receive one."""
         rng = np.random.default_rng(1)
-        br = tiny_prior(injection_layers=(7, 8))
+        br = tiny_prior()
         t = br.embed_tokens(rand_image(rng, TINY.x_s))
-        ln = LayerNorm(TINY.C)
-        init_params(ln, 9)
         inj = Tensor(rng.random(t.shape).astype(np.float32))
-        out, _ = br.forward_segment(t, 1, 8, {7: (inj, ln)})
-        assert out.shape == t.shape
-        with pytest.raises(ValueError, match="not an injection site"):
-            br.forward_segment(t, 1, 8, {3: (inj, ln)})
-        with pytest.raises(ValueError, match="outside segment"):
-            br.forward_segment(t, 1, 4, {7: (inj, ln)})
+        for i in (1, 2, 8):
+            out = br.forward_layer(i, t, inj)
+            assert out.data.tobytes() == br.layers[i - 1].forward(t, inj).data.tobytes()
+            assert not np.array_equal(out.data, br.forward_layer(i, t).data)
+        wrong = Tensor(np.zeros((2, 3, TINY.C), dtype=np.float32))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            br.forward_layer(1, t, wrong)
 
     def test_neck_produces_decoder_width_map(self):
         rng = np.random.default_rng(2)
         br = tiny_prior()
-        t, _ = br.forward_segment(br.embed_tokens(rand_image(rng, TINY.x_s)),
-                                  1, len(br.layers))
+        t = br.embed_tokens(rand_image(rng, TINY.x_s))
+        for i in range(1, len(br.layers) + 1):
+            t = br.forward_layer(i, t)
         fmap = br.project(t)
         g = TINY.x_s // 16
         assert fmap.shape == (2, TINY.C_d, g, g)
-
-    def test_no_injection_site_unless_given(self):
-        rng = np.random.default_rng(3)
-        br = tiny_prior()
-        t = br.embed_tokens(rand_image(rng, TINY.x_s))
-        ln = LayerNorm(TINY.C)
-        inj = Tensor(rng.random(t.shape).astype(np.float32))
-        with pytest.raises(ValueError, match="not an injection site"):
-            br.forward_segment(t, 1, 8, {8: (inj, ln)})
 
 
 class TestDomainBranch:
@@ -136,7 +118,7 @@ class TestDomainBranch:
         br = tiny_domain()
         x = rand_image(np.random.default_rng(0), TINY.x_c)
         wrong = Tensor(np.zeros((2, 3, 3, 3), dtype=np.float32))
-        with pytest.raises(ValueError, match="does not match"):
+        with pytest.raises(ValueError, match="shape mismatch"):
             br.forward_layer(1, x, injection=wrong)
 
     def test_layer_index_bounds(self):

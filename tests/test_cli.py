@@ -80,6 +80,16 @@ class TestGenData:
         assert rc == 2
         assert "data error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("domains,paired", [(",", False), (",", True), ("A,A", True)])
+    def test_empty_or_repeated_domains_are_a_data_error(self, tmp_path, capsys,
+                                                        domains, paired):
+        rc = main(["gen-data", "--out", str(tmp_path / "x"), "--train", "1",
+                   "--val", "0", "--test", "0", "--size", "16",
+                   "--domains", domains] + (["--paired"] if paired else []))
+        assert rc == 2
+        assert "without repeats" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_writes_log_and_checkpoint(self, pipeline):

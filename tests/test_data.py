@@ -295,6 +295,17 @@ class TestGeneration:
             load_sample(root, bad)
 
 
+def _first(meta):
+    return sorted(meta["tensors"])[0]
+
+
+def _outside_file(meta, ckpt):
+    """Point the first tensor at a copy of its own weights one level up."""
+    entry = meta["tensors"][_first(meta)]
+    shutil.copy(ckpt / entry["file"], ckpt.parent / "w.bin")
+    entry["file"] = "../w.bin"
+
+
 class TestCheckpoints:
     def _tampered(self, saved, tmp_path, mutate):
         _, src = saved
@@ -391,6 +402,28 @@ class TestCheckpoints:
             m["tensors"]["ghost"] = {"file": "ghost.bin", "shape": [1]}
         dst = self._tampered(saved, tmp_path, mutate)
         with pytest.raises(DataError, match="unknown to the model"):
+            load_checkpoint(dst)
+
+    @pytest.mark.parametrize("edit,detail", [
+        (lambda m, d: m["tensors"].update({_first(m): 5}), "bare file name"),
+        (lambda m, d: m["tensors"][_first(m)].pop("shape"), "bare file name"),
+        (lambda m, d: m["tensors"][_first(m)].pop("file"), "bare file name"),
+        (lambda m, d: m["tensors"][_first(m)].update(shape=3), "bare file name"),
+        (lambda m, d: m["tensors"][_first(m)].update(shape=[2.0]), "bare file name"),
+        (lambda m, d: m.update(tensors=[]), "not a JSON object"),
+        (lambda m, d: m["config"].update(C="16"), "object of ints"),
+        (lambda m, d: m.update(config=[16, 8]), "object of ints"),
+        (lambda m, d: m["config"].update(x_s=33), "stored model config"),
+        (lambda m, d: m["config"].update(dkin_count=3), "stored model config"),
+        (_outside_file, "bare file name"),
+    ], ids=["entry-5", "no-shape", "no-file", "shape-3", "float-shape", "tensors-list",
+            "string-value", "config-list", "x_s-33", "cyclic", "file-outside"])
+    def test_malformed_meta_is_a_data_error(self, saved, tmp_path, edit, detail):
+        """Each entry is checked before any weight file is read: a file
+        outside the checkpoint directory, even one holding valid weights,
+        is never opened."""
+        dst = self._tampered(saved, tmp_path, edit)
+        with pytest.raises(DataError, match=detail):
             load_checkpoint(dst)
 
     def test_config_override_must_fit(self, saved, tmp_path):
