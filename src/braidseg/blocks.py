@@ -5,11 +5,13 @@ methods are pure functions of (parameters, inputs). named_params() walks
 the attribute tree in insertion order, producing the stable dotted names
 used by checkpoints, the optimizer and the gradient checker.
 
-Initialization is two-phase: construction allocates zero parameter
-buffers tagged with an init kind; init_params() then fills each tensor
-from an RNG seeded by (global seed, name hash). Values therefore do not
-depend on construction order, so two models sharing a parameter name and
-seed hold bit-identical values even when one omits whole submodules.
+Initialization is two-phase: construction allocates float32 zero
+parameter buffers tagged with an init kind; init_params() then fills each
+tensor from an RNG seeded by (global seed, name hash). Values therefore do
+not depend on construction order, so two models sharing a parameter name
+and seed hold bit-identical values even when one omits whole submodules.
+A model of another precision is cast (cast_block) between the two phases,
+so its values are drawn at that precision, not rounded from float32.
 """
 
 from __future__ import annotations
@@ -49,10 +51,10 @@ class Block:
             p.zero_grad()
 
 
-def param(shape, kind, dtype=np.float32, fan_in=None):
-    """Allocate an uninitialized (zero) parameter tagged with its init rule."""
+def param(shape, kind, fan_in=None):
+    """Allocate an uninitialized float32 (zero) parameter tagged with its init rule."""
     tag = kind if fan_in is None else f"{kind}:{int(fan_in)}"
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True, init_kind=tag)
+    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True, init_kind=tag)
 
 
 def stable_hash(name):
@@ -89,9 +91,10 @@ def _trunc_normal(rng, shape, std):
 
 def cast_block(block, dtype):
     """Re-type every parameter buffer in place (f32 <-> f64); a gradient
-    buffer of the old dtype is dropped, not reallocated."""
+    buffer of the old dtype is dropped, not reallocated. A buffer already
+    of that dtype is kept, not copied."""
     for _, p in block.named_params():
-        p.data = p.data.astype(dtype)
+        p.data = p.data.astype(dtype, copy=False)
         p.zero_grad()
     return block
 
@@ -101,48 +104,47 @@ def cast_block(block, dtype):
 # ---------------------------------------------------------------------
 
 class Linear(Block):
-    def __init__(self, cin, cout, dtype=np.float32, init="trunc_normal"):
-        self.w = param((cin, cout), init, dtype, fan_in=cin)
-        self.b = param((cout,), "zeros", dtype)
+    def __init__(self, cin, cout):
+        self.w = param((cin, cout), "trunc_normal", fan_in=cin)
+        self.b = param((cout,), "zeros")
 
     def forward(self, x):
         return T.add_bias(T.matmul(x, self.w), self.b)
 
 
 class LayerNorm(Block):
-    def __init__(self, c, dtype=np.float32):
-        self.g = param((c,), "ones", dtype)
-        self.b = param((c,), "zeros", dtype)
+    def __init__(self, c):
+        self.g = param((c,), "ones")
+        self.b = param((c,), "zeros")
 
     def forward(self, x):
         return T.layer_norm(x, self.g, self.b)
 
 
 class InstanceNorm(Block):
-    def __init__(self, c, dtype=np.float32):
-        self.g = param((c,), "ones", dtype)
-        self.b = param((c,), "zeros", dtype)
+    def __init__(self, c):
+        self.g = param((c,), "ones")
+        self.b = param((c,), "zeros")
 
     def forward(self, x):
         return T.instance_norm(x, self.g, self.b)
 
 
 class Conv(Block):
-    def __init__(self, cin, cout, k, dtype=np.float32, init="he"):
-        self.w = param((cout, cin, k, k), init, dtype, fan_in=cin * k * k)
-        self.b = param((cout,), "zeros", dtype)
-        self._k = k
+    def __init__(self, cin, cout, k, init="he"):
+        self.w = param((cout, cin, k, k), init, fan_in=cin * k * k)
+        self.b = param((cout,), "zeros")
 
     def forward(self, x, stride=1, padding=0):
         return T.conv2d(x, self.w, self.b, stride=stride, padding=padding)
 
 
 class Mlp(Block):
-    """Two-layer MLP with GELU, hidden width = ratio * C."""
+    """Two-layer MLP with GELU, hidden width 4C."""
 
-    def __init__(self, c, ratio=4, dtype=np.float32):
-        self.fc1 = Linear(c, ratio * c, dtype)
-        self.fc2 = Linear(ratio * c, c, dtype)
+    def __init__(self, c):
+        self.fc1 = Linear(c, 4 * c)
+        self.fc2 = Linear(4 * c, c)
 
     def forward(self, x):
         return self.fc2.forward(T.gelu(self.fc1.forward(x)))
@@ -160,13 +162,13 @@ class Attention(Block):
     Scale is 1/sqrt(C/heads). No masking anywhere in this model.
     """
 
-    def __init__(self, c, heads, dtype=np.float32):
+    def __init__(self, c, heads):
         if c % heads != 0:
             raise ValueError(f"attention: width {c} not divisible by {heads} heads")
-        self.wq = Linear(c, c, dtype)
-        self.wk = Linear(c, c, dtype)
-        self.wv = Linear(c, c, dtype)
-        self.wo = Linear(c, c, dtype)
+        self.wq = Linear(c, c)
+        self.wk = Linear(c, c)
+        self.wv = Linear(c, c)
+        self.wo = Linear(c, c)
         self._heads = heads
         self._c = c
 
@@ -224,11 +226,11 @@ class TransformerBlock(Block):
     reduces bitwise to the uninjected form.
     """
 
-    def __init__(self, c, heads, window=None, dtype=np.float32):
-        self.ln1 = LayerNorm(c, dtype)
-        self.attn = Attention(c, heads, dtype)
-        self.ln2 = LayerNorm(c, dtype)
-        self.mlp = Mlp(c, 4, dtype)
+    def __init__(self, c, heads, window=None):
+        self.ln1 = LayerNorm(c)
+        self.attn = Attention(c, heads)
+        self.ln2 = LayerNorm(c)
+        self.mlp = Mlp(c)
         self._window = window    # None = global attention
 
     def forward(self, x, injected=None):
@@ -262,20 +264,20 @@ class ResidualSeBlock(Block):
     (or a width change) uses a 1x1 projection shortcut with its own IN.
     """
 
-    def __init__(self, cin, cout, stride=1, dtype=np.float32):
+    def __init__(self, cin, cout, stride=1):
         if stride not in (1, 2):
             raise ValueError(f"residual block: stride must be 1 or 2, got {stride}")
-        self.conv1 = Conv(cin, cout, 3, dtype)
-        self.n1 = InstanceNorm(cout, dtype)
-        self.conv2 = Conv(cout, cout, 3, dtype)
-        self.n2 = InstanceNorm(cout, dtype)
+        self.conv1 = Conv(cin, cout, 3)
+        self.n1 = InstanceNorm(cout)
+        self.conv2 = Conv(cout, cout, 3)
+        self.n2 = InstanceNorm(cout)
         hidden = max(cout // 4, 1)
-        self.se_reduce = Conv(cout, hidden, 1, dtype)
-        self.se_expand = Conv(hidden, cout, 1, dtype)
+        self.se_reduce = Conv(cout, hidden, 1)
+        self.se_expand = Conv(hidden, cout, 1)
         self._stride = stride
         if stride != 1 or cin != cout:
-            self.proj = Conv(cin, cout, 1, dtype)
-            self.np_ = InstanceNorm(cout, dtype)
+            self.proj = Conv(cin, cout, 1)
+            self.np_ = InstanceNorm(cout)
         else:
             self.proj = None
 
@@ -309,11 +311,11 @@ class PatchEmbed(Block):
 
     PATCH = 16
 
-    def __init__(self, c, grid, dtype=np.float32):
+    def __init__(self, c, grid):
         p = self.PATCH
-        self.w = param((p * p, c), "trunc_normal", dtype, fan_in=p * p)
-        self.b = param((c,), "zeros", dtype)
-        self.pos = param((grid * grid, c), "trunc_normal", dtype)
+        self.w = param((p * p, c), "trunc_normal", fan_in=p * p)
+        self.b = param((c,), "zeros")
+        self.pos = param((grid * grid, c), "trunc_normal")
         self._grid = grid
 
     def forward(self, x):

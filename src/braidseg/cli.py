@@ -47,7 +47,10 @@ def _load_config(path):
             raw = json.load(f)
         except json.JSONDecodeError as e:
             raise DataError(f"{path}: invalid JSON ({e})") from None
-    return ModelConfig.from_dict(raw)
+    try:
+        return ModelConfig.from_dict(raw)
+    except ValueError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 def _int_list(text):
@@ -86,7 +89,6 @@ def build_parser():
     t.add_argument("--lr", type=float, default=3e-4)
     t.add_argument("--momentum", type=float, default=0.99)
     t.add_argument("--weight-decay", type=float, default=1e-4)
-    t.add_argument("--lr-schedule", choices=("poly", "exp"), default="poly")
     t.add_argument("--seed", type=int, default=0)
     t.add_argument("--domain", choices=("A", "B"), default=None,
                    help="restrict training samples to one domain")
@@ -150,8 +152,7 @@ def _cmd_train(args):
     cfg = _load_config(args.config)
     tcfg = TrainConfig(epochs=args.epochs, batch=args.batch, lr0=args.lr,
                        momentum=args.momentum, weight_decay=args.weight_decay,
-                       lr_schedule=args.lr_schedule, seed=args.seed,
-                       invert_prob=args.invert_aug)
+                       seed=args.seed, invert_prob=args.invert_aug)
     samples = select(load_manifest(args.data), split="train", domain=args.domain)
     if not samples:
         raise DataError(f"no training samples in {args.data}"

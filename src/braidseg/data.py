@@ -409,16 +409,13 @@ def load_checkpoint(ckpt_dir, config=None):
                 f"{meta_path}: tensor {name!r} needs a bare file name and a "
                 f"list of ints as shape, got {entry!r}")
     if config is not None:
-        model = BraidNet(config, dtype=np.float32)
+        model = BraidNet(config)
     elif "config" not in meta:
         raise DataError(f"{meta_path}: no model config")
     else:
-        cfg = meta["config"]
-        if not isinstance(cfg, dict) or not all(_is_int(v) for v in cfg.values()):
-            raise DataError(f"{meta_path}: model config is not an object of ints: {cfg!r}")
         try:
-            model = BraidNet(ModelConfig.from_dict(cfg), dtype=np.float32)
-        except ValueError as e:           # unknown keys, invalid or cyclic combinations
+            model = BraidNet(ModelConfig.from_dict(meta["config"]))
+        except ValueError as e:           # wrong types, unknown keys, invalid or cyclic
             raise DataError(f"{meta_path}: stored model config: {e}") from None
 
     for name, p in model.named_params():

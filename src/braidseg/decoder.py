@@ -49,11 +49,10 @@ def grid_pe(g, c, dtype=np.float32):
 class PromptEncoder(Block):
     """Whole-image box -> two prompt tokens of the decoder width."""
 
-    def __init__(self, c_d, dtype=np.float32):
-        self.corner_tl = param((1, c_d), "trunc_normal", dtype)
-        self.corner_br = param((1, c_d), "trunc_normal", dtype)
+    def __init__(self, c_d):
+        self.corner_tl = param((1, c_d), "trunc_normal")
+        self.corner_br = param((1, c_d), "trunc_normal")
         self._c = c_d
-        self._dtype = dtype
 
     def forward(self, batch):
         # The box is fixed to the whole image, so the two prompt tokens are
@@ -71,15 +70,15 @@ class PromptEncoder(Block):
 
 
 class TwoWayLayer(Block):
-    def __init__(self, c, heads, dtype=np.float32):
-        self.self_attn = Attention(c, heads, dtype)
-        self.ln1 = LayerNorm(c, dtype)
-        self.cross_t2i = Attention(c, heads, dtype)
-        self.ln2 = LayerNorm(c, dtype)
-        self.mlp = Mlp(c, 4, dtype)
-        self.ln3 = LayerNorm(c, dtype)
-        self.cross_i2t = Attention(c, heads, dtype)
-        self.ln4 = LayerNorm(c, dtype)
+    def __init__(self, c, heads):
+        self.self_attn = Attention(c, heads)
+        self.ln1 = LayerNorm(c)
+        self.cross_t2i = Attention(c, heads)
+        self.ln2 = LayerNorm(c)
+        self.mlp = Mlp(c)
+        self.ln3 = LayerNorm(c)
+        self.cross_i2t = Attention(c, heads)
+        self.ln4 = LayerNorm(c)
 
     def forward(self, tokens, img, token_pe, img_pe):
         q = T.add(tokens, token_pe)
@@ -97,22 +96,21 @@ class TwoWayLayer(Block):
 class MaskDecoder(Block):
     DEPTH = 2
 
-    def __init__(self, c_d, dtype=np.float32):
+    def __init__(self, c_d):
         if c_d % 4 != 0:
             raise ValueError(f"decoder width must be divisible by 4, got {c_d}")
         heads = max(h for h in (8, 4, 2, 1) if c_d % h == 0)
-        self.mask_token = param((1, 1, c_d), "trunc_normal", dtype)
-        self.layers = [TwoWayLayer(c_d, heads, dtype) for _ in range(self.DEPTH)]
-        self.up1_w = param((c_d, c_d // 2, 2, 2), "he", dtype, fan_in=c_d * 4)
-        self.up1_b = param((c_d // 2,), "zeros", dtype)
-        self.up_norm = InstanceNorm(c_d // 2, dtype)
-        self.up2_w = param((c_d // 2, c_d // 4, 2, 2), "he", dtype, fan_in=c_d * 2)
-        self.up2_b = param((c_d // 4,), "zeros", dtype)
-        self.hyper1 = Linear(c_d, c_d, dtype)
-        self.hyper2 = Linear(c_d, c_d, dtype)
-        self.hyper3 = Linear(c_d, c_d // 4, dtype)
+        self.mask_token = param((1, 1, c_d), "trunc_normal")
+        self.layers = [TwoWayLayer(c_d, heads) for _ in range(self.DEPTH)]
+        self.up1_w = param((c_d, c_d // 2, 2, 2), "he", fan_in=c_d * 4)
+        self.up1_b = param((c_d // 2,), "zeros")
+        self.up_norm = InstanceNorm(c_d // 2)
+        self.up2_w = param((c_d // 2, c_d // 4, 2, 2), "he", fan_in=c_d * 2)
+        self.up2_b = param((c_d // 4,), "zeros")
+        self.hyper1 = Linear(c_d, c_d)
+        self.hyper2 = Linear(c_d, c_d)
+        self.hyper3 = Linear(c_d, c_d // 4)
         self._c = c_d
-        self._dtype = dtype
 
     def forward(self, fused_map, prompt_tokens):
         """fused_map [B, C_d, g, g], prompt_tokens [B, 2, C_d] -> [B, 1, 4g, 4g]."""

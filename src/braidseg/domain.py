@@ -11,8 +11,6 @@ width.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import tensor as T
 from .blocks import Block, Conv, ResidualSeBlock
 
@@ -20,15 +18,15 @@ N_LAYERS = 8
 
 
 class DomainBranch(Block):
-    def __init__(self, cfg, dtype=np.float32):
+    def __init__(self, cfg):
         c = cfg.C_c
         if c % 2 != 0:
             raise ValueError(f"domain branch: C_c must be even, got {c}")
         self.layers = [
-            ResidualSeBlock(1, c // 2, stride=2, dtype=dtype),
-            ResidualSeBlock(c // 2, c, stride=2, dtype=dtype),
-        ] + [ResidualSeBlock(c, c, stride=1, dtype=dtype) for _ in range(N_LAYERS - 2)]
-        self.out_proj = Conv(c, cfg.C_d, 1, dtype)
+            ResidualSeBlock(1, c // 2, stride=2),
+            ResidualSeBlock(c // 2, c, stride=2),
+        ] + [ResidualSeBlock(c, c, stride=1) for _ in range(N_LAYERS - 2)]
+        self.out_proj = Conv(c, cfg.C_d, 1)
 
     def forward_layer(self, j, x, injection=None):
         """Run layer j (1-based); add the pending cross-branch feature to

@@ -35,8 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import tensor as T
 from .blocks import Block, Conv, InstanceNorm, LayerNorm
 from .domain import N_LAYERS
@@ -52,9 +50,9 @@ class CycleError(ValueError):
 class RfinModule(Block):
     """Forward coupler: token tap -> conv-width map (zero-initialized)."""
 
-    def __init__(self, c, c_c, dtype=np.float32):
-        self.proj = Conv(c, c_c, 1, dtype, init="zeros")
-        self.norm = InstanceNorm(c_c, dtype)
+    def __init__(self, c, c_c):
+        self.proj = Conv(c, c_c, 1, init="zeros")
+        self.norm = InstanceNorm(c_c)
 
     def forward(self, tap_tokens):
         h = T.tokens_to_map(tap_tokens)
@@ -71,9 +69,9 @@ class DkinModule(Block):
     result to its attention residual.
     """
 
-    def __init__(self, c_c, c, dtype=np.float32):
-        self.proj = Conv(c_c, c, 1, dtype, init="zeros")
-        self.ln = LayerNorm(c, dtype)
+    def __init__(self, c_c, c):
+        self.proj = Conv(c_c, c, 1, init="zeros")
+        self.ln = LayerNorm(c)
 
     def forward(self, fmap):
         return self.ln.forward(T.map_to_tokens(self.proj.forward(fmap)))

@@ -15,21 +15,18 @@ the steps a perturbed parameter affects (BraidNet.resume_steps).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import tensor as T
-from .blocks import Block, init_params
+from .blocks import Block, cast_block, init_params
 from .decoder import MaskDecoder, PromptEncoder
 from .domain import DomainBranch
 from .fusion import (ApplyDkin, ApplyRfin, DkinModule, RfinModule, RunDomain,
                      RunPrior, build_plan, final_fuse)
 from .prior import PriorBranch
 from .tensor import Tensor
-
-CONFIG_KEYS = ("m", "C", "C_c", "C_d", "heads", "x_c", "x_s", "window",
-               "rfin_count", "dkin_count")
 
 
 @dataclass
@@ -73,34 +70,39 @@ class ModelConfig:
         return self.x_s // 16
 
     def to_dict(self):
-        return {k: getattr(self, k) for k in CONFIG_KEYS}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        unknown = set(d) - set(CONFIG_KEYS)
+        """Validated config from a JSON object of ints; anything else,
+        bools and floats included, raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"config: need an object of ints, got {d!r}")
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"config: unknown keys {sorted(unknown)}")
-        cfg = cls(**{k: int(v) for k, v in d.items()})
-        return cfg.validate()
+        for k, v in d.items():
+            if not isinstance(v, int) or isinstance(v, bool):
+                raise ValueError(f"config: need an object of ints, got {k}={v!r}")
+        return cls(**d).validate()
 
 
 class BraidNet(Block):
     """Two-branch encoder + coupling plan + prompt-conditioned decoder."""
 
-    def __init__(self, cfg, dtype=np.float32):
+    def __init__(self, cfg):
         cfg.validate()
         # plan construction first: invalid wiring must fail before any
         # parameter exists (this is where the cycle error surfaces)
         plan = build_plan(cfg.m, cfg.rfin_count, cfg.dkin_count)
-        self.patch_prior = PriorBranch(cfg, dtype)
-        self.conv_domain = DomainBranch(cfg, dtype)
-        self.rfins = [RfinModule(cfg.C, cfg.C_c, dtype) for _ in range(cfg.rfin_count)]
-        self.dkins = [DkinModule(cfg.C_c, cfg.C, dtype) for _ in range(cfg.dkin_count)]
-        self.prompt = PromptEncoder(cfg.C_d, dtype)
-        self.decoder = MaskDecoder(cfg.C_d, dtype)
+        self.patch_prior = PriorBranch(cfg)
+        self.conv_domain = DomainBranch(cfg)
+        self.rfins = [RfinModule(cfg.C, cfg.C_c) for _ in range(cfg.rfin_count)]
+        self.dkins = [DkinModule(cfg.C_c, cfg.C) for _ in range(cfg.dkin_count)]
+        self.prompt = PromptEncoder(cfg.C_d)
+        self.decoder = MaskDecoder(cfg.C_d)
         self._cfg = cfg
         self._plan = plan
-        self._dtype = np.dtype(dtype)
 
     @property
     def cfg(self):
@@ -112,7 +114,8 @@ class BraidNet(Block):
 
     @property
     def dtype(self):
-        return self._dtype
+        """The parameters' precision, read from them (cast_block may change it)."""
+        return self.patch_prior.embed.w.dtype
 
     def forward(self, x_c, x_s):
         """x_c [B,1,x_c,x_c], x_s [B,1,x_s,x_s] arrays -> logits [B,1,x_c,x_c]."""
@@ -194,19 +197,21 @@ class BraidNet(Block):
     def _as_input(self, x, extent, name):
         if isinstance(x, Tensor):
             x = x.data
-        x = np.asarray(x, dtype=self._dtype)
+        x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4 or x.shape[1] != 1 or x.shape[2] != extent or x.shape[3] != extent:
             raise ValueError(f"{name}: expected [B,1,{extent},{extent}], got {x.shape}")
         return Tensor(x)
 
 
 def build_model(cfg, seed=0, dtype=np.float32):
-    """Construct and initialize a BraidNet.
+    """Construct and initialize a BraidNet at the given precision.
 
-    Parameter values depend only on (seed, parameter name), never on
-    which submodules exist, so e.g. an (r=0, d=0) model shares bits with
-    the corresponding parameters of a fully coupled one.
+    The zero buffers are cast before init_params fills them, so float64
+    values are drawn at float64. Parameter values depend only on (seed,
+    parameter name), never on which submodules exist, so e.g. an
+    (r=0, d=0) model shares bits with the corresponding parameters of a
+    fully coupled one.
     """
-    net = BraidNet(cfg, dtype=dtype)
+    net = cast_block(BraidNet(cfg), dtype)
     init_params(net, seed)
     return net

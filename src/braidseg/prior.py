@@ -10,8 +10,6 @@ residual of the layer the plan hands them to.
 
 from __future__ import annotations
 
-import numpy as np
-
 from . import tensor as T
 from .blocks import Block, LayerNorm, Linear, PatchEmbed, TransformerBlock
 
@@ -20,9 +18,9 @@ class Neck(Block):
     """Token projection to the decoder width: 1x1 conv (as a per-token
     linear) plus token-wise LN, then reshaped to a [B, C_d, g, g] map."""
 
-    def __init__(self, c, c_d, dtype=np.float32):
-        self.proj = Linear(c, c_d, dtype)
-        self.norm = LayerNorm(c_d, dtype)
+    def __init__(self, c, c_d):
+        self.proj = Linear(c, c_d)
+        self.norm = LayerNorm(c_d)
 
     def forward(self, tokens):
         return T.tokens_to_map(self.norm.forward(self.proj.forward(tokens)))
@@ -31,16 +29,16 @@ class Neck(Block):
 class PriorBranch(Block):
     """The 4m-layer token encoder and its neck."""
 
-    def __init__(self, cfg, dtype=np.float32):
+    def __init__(self, cfg):
         m = cfg.m
         grid = cfg.x_s // PatchEmbed.PATCH
-        self.embed = PatchEmbed(cfg.C, grid, dtype)
+        self.embed = PatchEmbed(cfg.C, grid)
         self.layers = [
             TransformerBlock(cfg.C, cfg.heads,
-                             window=None if i in (m, 2 * m, 3 * m) else cfg.window, dtype=dtype)
+                             window=None if i in (m, 2 * m, 3 * m) else cfg.window)
             for i in range(1, 4 * m + 1)
         ]
-        self.neck = Neck(cfg.C, cfg.C_d, dtype)
+        self.neck = Neck(cfg.C, cfg.C_d)
 
     def embed_tokens(self, x_s):
         return self.embed.forward(x_s)

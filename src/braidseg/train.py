@@ -1,5 +1,5 @@
-"""Training: Dice+BCE loss, SGD with momentum and weight decay, per-epoch
-polynomial (or exponential) learning-rate decay, light augmentation.
+"""Training: (1 - soft Dice) + BCE loss, SGD with momentum and weight
+decay, per-epoch polynomial learning-rate decay, light augmentation.
 
 Determinism contract: with a fixed TrainConfig.seed the run is bitwise
 reproducible. Every random draw comes from a generator keyed by
@@ -32,23 +32,16 @@ class TrainConfig:
     lr0: float = 3e-4
     momentum: float = 0.99
     weight_decay: float = 1e-4
-    poly_power: float = 0.9
-    lr_schedule: str = "poly"          # poly | exp
-    exp_gamma: float = 0.9
     seed: int = 0
     scale_range: tuple = (0.9, 1.1)
     shift_range: tuple = (-0.1, 0.1)
     flip_prob: float = 0.5
     invert_prob: float = 0.0
     augment: bool = True
-    dice_weight: float = 1.0
-    bce_weight: float = 1.0
 
     def validate(self):
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("train config: epochs and batch must be positive")
-        if self.lr_schedule not in ("poly", "exp"):
-            raise ValueError(f"train config: unknown lr schedule {self.lr_schedule!r}")
         return self
 
 
@@ -57,16 +50,6 @@ def poly_lr(lr0, epoch, total_epochs, power=0.9):
     if not (0 <= epoch <= total_epochs):
         raise ValueError(f"poly_lr: epoch {epoch} outside 0..{total_epochs}")
     return lr0 * (1.0 - epoch / total_epochs) ** power
-
-
-def exp_lr(lr0, epoch, gamma=0.9):
-    return lr0 * gamma ** epoch
-
-
-def lr_for_epoch(cfg, epoch):
-    if cfg.lr_schedule == "poly":
-        return poly_lr(cfg.lr0, epoch, cfg.epochs, cfg.poly_power)
-    return exp_lr(cfg.lr0, epoch, cfg.exp_gamma)
 
 
 # ---------------------------------------------------------------------
@@ -82,8 +65,8 @@ def soft_dice(logits, target):
     return T.div(T.add(T.scale(inter, 2.0), one), denom)
 
 
-def seg_loss(logits, target, dice_weight=1.0, bce_weight=1.0):
-    """w_d * (1 - soft Dice) + w_b * BCE; scalar Tensor."""
+def seg_loss(logits, target):
+    """(1 - soft Dice) + BCE; scalar Tensor."""
     if not isinstance(target, Tensor):
         target = Tensor(np.asarray(target, dtype=logits.dtype))
     if target.shape != logits.shape:
@@ -91,7 +74,7 @@ def seg_loss(logits, target, dice_weight=1.0, bce_weight=1.0):
     one = Tensor(np.asarray(1.0, dtype=logits.dtype))
     dice_term = T.sub(one, soft_dice(logits, target))
     bce_term = T.bce_with_logits(logits, target)
-    return T.add(T.scale(dice_term, dice_weight), T.scale(bce_term, bce_weight))
+    return T.add(dice_term, bce_term)
 
 
 # ---------------------------------------------------------------------
@@ -177,7 +160,7 @@ def train(model, root, samples, cfg, out_dir=None, log=None):
     rows = [("iteration", "epoch", "lr", "loss")]
     iteration = 0
     for epoch in range(cfg.epochs):
-        lr = lr_for_epoch(cfg, epoch)
+        lr = poly_lr(cfg.lr0, epoch, cfg.epochs)
         order_rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, _ORDER_TAG, epoch]))
         order = order_rng.permutation(len(loaded))
@@ -197,8 +180,7 @@ def train(model, root, samples, cfg, out_dir=None, log=None):
                 xs_b.append(xs)
                 tgt_b.append(msk[None, None])
             logits = model.forward(np.concatenate(xc_b), np.concatenate(xs_b))
-            loss = seg_loss(logits, np.concatenate(tgt_b),
-                            cfg.dice_weight, cfg.bce_weight)
+            loss = seg_loss(logits, np.concatenate(tgt_b))
             loss_val = float(loss.data)
             if not np.isfinite(loss_val):
                 raise NumericError(

@@ -1,6 +1,25 @@
-"""Shared pytest hooks for the suite."""
+"""Shared pytest hooks and fixtures for the suite."""
 
 import sys
+
+import numpy as np
+import pytest
+
+
+@pytest.fixture
+def nan_relu_backward(monkeypatch):
+    """Plant a relu backward rule that emits NaN; the forward is unchanged."""
+    from braidseg import tensor as T
+    straight = T.relu
+
+    def poisoned(x):
+        out = straight(x)
+        rule = out._backward
+        if rule is not None:
+            out._backward = lambda g, seeds: rule(np.full_like(g, np.nan), seeds)
+        return out
+
+    monkeypatch.setattr(T, "relu", poisoned)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

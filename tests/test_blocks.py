@@ -283,7 +283,7 @@ class TestPatchEmbed:
 
 class TestMlp:
     def test_hidden_expansion_and_shapes(self):
-        mlp = Mlp(8, ratio=4)
+        mlp = Mlp(8)
         init_params(mlp, seed=0)
         names = dict(mlp.named_params())
         assert names["fc1.w"].shape == (8, 32)

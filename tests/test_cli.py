@@ -117,6 +117,18 @@ class TestTrain:
                    str(tmp_path / "o"), "--config", str(bad), "--epochs", "1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("raw", [
+        dict(TINY, m=2.7, C_c=8.9), dict(TINY, m="2"), dict(TINY, m=True),
+        dict(TINY, m=[2]), [2]], ids=["floats", "string", "bool", "list", "not-object"])
+    def test_config_of_wrong_types_is_a_data_error(self, pipeline, tmp_path, capsys, raw):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw))
+        rc = main(["train", "--data", str(pipeline["data"]), "--out",
+                   str(tmp_path / "o"), "--config", str(bad), "--epochs", "1"])
+        assert rc == 2
+        assert "object of ints" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_empty_domain_selection(self, pipeline, tmp_path, capsys):
         solo = tmp_path / "solo"
         assert main(["gen-data", "--out", str(solo), "--train", "2", "--val",
@@ -215,6 +227,15 @@ class TestGradcheckCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "gradient check passed" in out
+
+    def test_a_nan_gradient_exits_three(self, tmp_path, capsys, nan_relu_backward):
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps(dict(m=1, C=8, C_c=4, C_d=4, heads=2,
+                                       x_c=8, x_s=32, window=2,
+                                       rfin_count=1, dkin_count=1)))
+        rc = main(["gradcheck", "--config", str(cfg)])
+        assert rc == 3
+        assert "max relative error inf" in capsys.readouterr().out
 
     def test_impossible_coupling_plan_exits_three(self, tmp_path, capsys):
         bad = dict(TINY, dkin_count=3)     # depth budget m=2 allows at most 2

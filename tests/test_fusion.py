@@ -6,6 +6,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 from braidseg import model as model_mod
+from braidseg.blocks import cast_block
 from braidseg.fusion import (ApplyDkin, ApplyRfin, CycleError, FinalFuse,
                              FusionPlan, RunDomain, RunPrior, build_plan,
                              check_schedule)
@@ -414,3 +415,21 @@ class TestInterpreterAgainstManualScript:
         want = final_fuse(pr.project(t), dom.project(d8))
 
         assert got.data.tobytes() == want.data.tobytes()
+
+
+class TestPrecision:
+    CFG = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32,
+                      window=2, rfin_count=2, dkin_count=2)
+
+    def test_a_cast_model_runs_at_the_precision_cast_to(self):
+        """The inputs follow the parameters' dtype after a cast_block,
+        and a float32 -> float64 -> float32 round trip moves no bit."""
+        net = build_model(self.CFG, seed=0)
+        rng = np.random.default_rng(0)
+        xc, xs = rng.random((1, 1, 8, 8)), rng.random((1, 1, 32, 32))
+        before = net.forward(xc, xs).data
+        for dtype in (np.float64, np.float32):
+            cast_block(net, dtype)
+            assert net.dtype == dtype
+            assert net.forward(xc, xs).dtype == dtype
+        assert np.array_equal(net.forward(xc, xs).data, before)

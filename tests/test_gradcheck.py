@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from braidseg import tensor as T
-from braidseg.gradcheck import (check_model, check_op, directional_grad,
-                                numeric_grad, rel_error)
+from braidseg.gradcheck import check_model, check_op, numeric_grad, rel_error
 from braidseg.model import ModelConfig
 from braidseg.tensor import Tensor
 
@@ -26,16 +25,6 @@ class TestHelpers:
         before = x.copy()
         numeric_grad(lambda z: float((z ** 3).sum()), x)
         assert np.array_equal(x, before)
-
-    def test_directional_matches_gradient_dot(self):
-        rng = np.random.default_rng(1)
-        a = rng.normal(size=6)
-        x = rng.normal(size=6)
-        v = rng.normal(size=6)
-        v /= np.linalg.norm(v)
-        num = directional_grad(lambda z: float(np.sin(z @ a)), x, v)
-        want = float(np.cos(x @ a) * (a @ v))
-        assert abs(num - want) < 1e-9
 
     def test_rel_error_values(self):
         assert rel_error(np.array([1.0, 2.0]), np.array([1.0, 2.0])) == 0.0
@@ -135,3 +124,14 @@ class TestCheckModelProbes:
         # the retry ran on those probes and the bug survived it
         assert all("h/8" in line for line in lines if line.startswith("FAIL")
                    and line.split()[1] in probe_fails)
+
+    def test_a_nan_gradient_fails_every_tolerance(self, nan_relu_backward):
+        # max(0.0, nan) is 0.0 and nan > tol is False, so a NaN error
+        # must be stored as inf to reach max_err and the callers' checks
+        cfg = ModelConfig(m=1, C=8, C_c=4, C_d=4, heads=2, x_c=8, x_s=32,
+                          window=2, rfin_count=1, dkin_count=1)
+        rows, max_err, _ = check_model(cfg, seed=0)
+        assert max_err == float("inf")
+        errors = [e for _, _, e_dir, e_probe in rows for e in (e_dir, e_probe)]
+        assert not any(np.isnan(errors))
+        assert sum(e == float("inf") for e in errors) > len(rows)

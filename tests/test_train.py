@@ -9,10 +9,9 @@ import pytest
 
 from braidseg.data import generate_dataset, select
 from braidseg.model import ModelConfig, build_model
-from braidseg.tensor import Tensor, sigmoid_np
+from braidseg.tensor import Tensor, bce_with_logits, sigmoid_np
 from braidseg.train import (NumericError, SgdState, TrainConfig, augment,
-                            exp_lr, lr_for_epoch, poly_lr, seg_loss,
-                            sgd_step, soft_dice, train)
+                            poly_lr, seg_loss, sgd_step, soft_dice, train)
 
 TINY = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32,
                    window=2, rfin_count=2, dkin_count=2)
@@ -31,8 +30,7 @@ class TestConfig:
         cfg = TrainConfig()
         assert cfg.validate() is cfg
 
-    @pytest.mark.parametrize("kw", [
-        {"epochs": 0}, {"batch": 0}, {"lr_schedule": "cosine"}])
+    @pytest.mark.parametrize("kw", [{"epochs": 0}, {"batch": 0}])
     def test_validate_rejects(self, kw):
         with pytest.raises(ValueError):
             TrainConfig(**kw).validate()
@@ -56,15 +54,6 @@ class TestSchedules:
         with pytest.raises(ValueError):
             poly_lr(1.0, -1, 50)
 
-    def test_exp_closed_form(self):
-        assert exp_lr(2.0, 3, gamma=0.5) == 0.25
-
-    def test_dispatch(self):
-        cfg = TrainConfig(lr0=1.0, epochs=10, poly_power=1.0)
-        assert lr_for_epoch(cfg, 5) == 0.5
-        cfg = TrainConfig(lr0=1.0, lr_schedule="exp", exp_gamma=0.1)
-        assert abs(lr_for_epoch(cfg, 2) - 0.01) < 1e-15
-
 
 class TestLoss:
     def test_soft_dice_matches_closed_form(self):
@@ -87,11 +76,10 @@ class TestLoss:
         rng = np.random.default_rng(1)
         logits = Tensor(rng.normal(size=(1, 1, 3, 3)).astype(np.float64))
         target = (rng.random((1, 1, 3, 3)) > 0.5).astype(np.float64)
-        d = float(seg_loss(logits, target, dice_weight=1.0, bce_weight=0.0).data)
-        b = float(seg_loss(logits, target, dice_weight=0.0, bce_weight=1.0).data)
-        full = float(seg_loss(logits, target, 1.0, 1.0).data)
-        assert abs(full - (d + b)) < 1e-12
-        assert abs(d - (1.0 - float(soft_dice(logits, Tensor(target)).data))) < 1e-12
+        full = float(seg_loss(logits, target).data)
+        d = 1.0 - float(soft_dice(logits, Tensor(target)).data)
+        b = float(bce_with_logits(logits, Tensor(target)).data)
+        assert full == d + b
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="seg_loss"):
