@@ -17,7 +17,7 @@ import numpy as np
 from .data import (DataError, generate_dataset, load_checkpoint, load_manifest,
                    read_pgm, select, write_pgm)
 from .evaluate import (ablate, ablation_csv, ablation_text, evaluate,
-                       predict_mask, write_report)
+                       predict_mask)
 from .fusion import CycleError
 from .model import ModelConfig, build_model
 from .train import NumericError, TrainConfig, train

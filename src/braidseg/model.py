@@ -10,7 +10,9 @@ branch per step, each handed the coupler output pending for it, if any.
 The loop keeps the current tokens and map, the domain outputs and the
 pending coupler outputs. It can also start at any step from the state an
 earlier pass saved before it; the gradient audit uses this to rerun only
-the steps a perturbed parameter affects (BraidNet.resume_steps).
+the steps a perturbed parameter affects. BraidNet._blocks_of states once
+which blocks each step runs, and BraidNet.resume_steps matches every
+parameter to its first step by identity through it.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import tensor as T
-from .blocks import Block, cast_block, init_params
+from .blocks import Block, PatchEmbed, cast_block, init_params
 from .decoder import MaskDecoder, PromptEncoder
 from .domain import DomainBranch
 from .fusion import (ApplyDkin, ApplyRfin, DkinModule, RfinModule, RunDomain,
@@ -45,29 +46,30 @@ class ModelConfig:
     dkin_count: int = 3
 
     def validate(self):
+        for f in ("m", "C", "C_c", "C_d", "heads", "x_c", "x_s", "window"):
+            if getattr(self, f) < 1:
+                raise ValueError(f"config: {f} must be >= 1, got {getattr(self, f)}")
         if self.x_s != 4 * self.x_c:
             raise ValueError(
                 f"config: x_s must equal 4*x_c so the branch grids match "
-                f"(16x downsampled tokens vs 4x downsampled conv map); "
+                f"({PatchEmbed.PATCH}x downsampled tokens vs 4x downsampled conv map); "
                 f"got x_s={self.x_s}, x_c={self.x_c}")
-        if self.x_s % 16 != 0:
-            raise ValueError(f"config: x_s must be a multiple of the 16-pixel patch, got {self.x_s}")
-        grid = self.x_s // 16
-        if self.window < 1 or grid % self.window != 0:
-            raise ValueError(f"config: window {self.window} must divide token grid {grid}")
+        if self.x_s % PatchEmbed.PATCH != 0:
+            raise ValueError(f"config: x_s must be a multiple of the "
+                             f"{PatchEmbed.PATCH}-pixel patch, got {self.x_s}")
+        if self.grid % self.window != 0:
+            raise ValueError(f"config: window {self.window} must divide token grid {self.grid}")
         if self.C % self.heads != 0:
             raise ValueError(f"config: C={self.C} not divisible by heads={self.heads}")
         if self.C_c % 2 != 0:
             raise ValueError(f"config: C_c must be even, got {self.C_c}")
         if self.C_d % 4 != 0:
             raise ValueError(f"config: C_d must be divisible by 4, got {self.C_d}")
-        if self.m < 1:
-            raise ValueError(f"config: m must be >= 1, got {self.m}")
         return self
 
     @property
     def grid(self):
-        return self.x_s // 16
+        return self.x_s // PatchEmbed.PATCH
 
     def to_dict(self):
         return asdict(self)
@@ -101,16 +103,8 @@ class BraidNet(Block):
         self.dkins = [DkinModule(cfg.C_c, cfg.C) for _ in range(cfg.dkin_count)]
         self.prompt = PromptEncoder(cfg.C_d)
         self.decoder = MaskDecoder(cfg.C_d)
-        self._cfg = cfg
-        self._plan = plan
-
-    @property
-    def cfg(self):
-        return self._cfg
-
-    @property
-    def plan(self):
-        return self._plan
+        self.cfg = cfg
+        self.plan = plan
 
     @property
     def dtype(self):
@@ -136,15 +130,15 @@ class BraidNet(Block):
         """
         prior, dom = self.patch_prior, self.conv_domain
         if state is None:
-            x_c = self._as_input(x_c, self._cfg.x_c, "x_c")
-            x_s = self._as_input(x_s, self._cfg.x_s, "x_s")
+            x_c = self._as_input(x_c, self.cfg.x_c, "x_c")
+            x_s = self._as_input(x_s, self.cfg.x_s, "x_s")
             start, tokens, dmap = 0, prior.embed_tokens(x_s), x_c
             domain_out = {}
             to_domain, to_prior = {}, {}     # coupler outputs by target layer
         else:                                # copied: a state is resumed many times
             start, tokens, dmap, *dicts = state
             domain_out, to_domain, to_prior = map(dict, dicts)
-        for k, step in enumerate(self._plan.steps[start:], start):
+        for k, step in enumerate(self.plan.steps[start:], start):
             if saved is not None:
                 saved.append((k, tokens, dmap, dict(domain_out),
                               dict(to_domain), dict(to_prior)))
@@ -165,34 +159,32 @@ class BraidNet(Block):
 
         Perturbing a parameter leaves the output of every earlier step
         unchanged, so a forward pass can resume there from the state an
-        unperturbed pass saved. The embedding runs before step 0 and maps to
-        None (run the whole forward); the prompt encoder and the decoder run
-        after the plan and map to len(plan.steps).
+        unperturbed pass saved. Each step's blocks (_blocks_of) claim their
+        parameters by identity. The prompt encoder and the decoder run after
+        the plan and map to len(plan.steps); what no step claims, the
+        embedding, maps to None (run the whole forward).
         """
-        steps = self._plan.steps
-        first = {"patch_prior.embed": None, "prompt": len(steps), "decoder": len(steps)}
+        steps = self.plan.steps
+        first = {}
         for k, step in enumerate(steps):
-            if isinstance(step, RunPrior):
-                owners = [f"patch_prior.layers.{step.i - 1}"]
-            elif isinstance(step, RunDomain):
-                owners = [f"conv_domain.layers.{step.j - 1}"]
-            elif isinstance(step, ApplyRfin):
-                owners = [f"rfins.{step.idx}"]
-            elif isinstance(step, ApplyDkin):
-                owners = [f"dkins.{step.idx}"]
-            else:
-                owners = ["patch_prior.neck", "conv_domain.out_proj"]
-            for owner in owners:
-                first.setdefault(owner, k)
-        out = {}
-        for name, _ in self.named_params():
-            parts = name.split(".")
-            owner = next((o for o in (".".join(parts[:n]) for n in range(1, len(parts)))
-                          if o in first), None)
-            if owner is None:
-                raise KeyError(f"no plan step reads parameter {name}")
-            out[name] = first[owner]
-        return out
+            for block in self._blocks_of(step):
+                for _, p in block.named_params():
+                    first.setdefault(id(p), k)
+        for _, p in self.prompt.named_params() + self.decoder.named_params():
+            first.setdefault(id(p), len(steps))
+        return {name: first.get(id(p)) for name, p in self.named_params()}
+
+    def _blocks_of(self, step):
+        """The blocks whose parameters plan step `step` reads."""
+        if isinstance(step, RunPrior):
+            return [self.patch_prior.layers[step.i - 1]]
+        if isinstance(step, RunDomain):
+            return [self.conv_domain.layers[step.j - 1]]
+        if isinstance(step, ApplyRfin):
+            return [self.rfins[step.idx]]
+        if isinstance(step, ApplyDkin):
+            return [self.dkins[step.idx]]
+        return [self.patch_prior.neck, self.conv_domain.out_proj]     # FinalFuse
 
     def _as_input(self, x, extent, name):
         if isinstance(x, Tensor):

@@ -31,8 +31,7 @@ class PriorBranch(Block):
 
     def __init__(self, cfg):
         m = cfg.m
-        grid = cfg.x_s // PatchEmbed.PATCH
-        self.embed = PatchEmbed(cfg.C, grid)
+        self.embed = PatchEmbed(cfg.C, cfg.grid)
         self.layers = [
             TransformerBlock(cfg.C, cfg.heads,
                              window=None if i in (m, 2 * m, 3 * m) else cfg.window)

@@ -93,9 +93,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def item(self):
-        return float(self.data)
-
     def __repr__(self):
         flag = ", grad" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}{flag})"
@@ -146,20 +143,6 @@ class Tensor:
                 buf += g
             if node._backward is not None:
                 node._backward(g, seeds)
-
-    # -- sugar (thin wrappers over the module ops) ----------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    __rmul__ = __mul__
 
 
 def _topo_order(root):

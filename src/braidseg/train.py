@@ -10,7 +10,7 @@ batch order and augmentations are independent of execution history.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

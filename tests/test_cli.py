@@ -245,6 +245,19 @@ class TestGradcheckCommand:
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw,field", [
+        ({"heads": 0}, "heads"), ({"C_d": 0}, "C_d"), ({"C_c": 0}, "C_c"),
+        ({"C": 0, "heads": 3}, "C"), ({"x_c": 0, "x_s": 0}, "x_c"),
+        ({"heads": -3, "C": -96}, "C"),
+    ], ids=["heads-0", "C_d-0", "C_c-0", "C-0", "extent-0", "negative"])
+    def test_non_positive_size_is_a_data_error(self, tmp_path, capsys, raw, field):
+        """Checked before any modulo or allocation, naming the field."""
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        rc = main(["gradcheck", "--config", str(cfg)])
+        assert rc == 2
+        assert f"config: {field} must be >= 1" in capsys.readouterr().err
+
 
 class TestAblateCommand:
     def test_sweep_writes_tables_with_invalid_cells(self, pipeline, capsys):

@@ -415,9 +415,10 @@ class TestCheckpoints:
         (lambda m, d: m.update(config=[16, 8]), "object of ints"),
         (lambda m, d: m["config"].update(x_s=33), "stored model config"),
         (lambda m, d: m["config"].update(dkin_count=3), "stored model config"),
+        (lambda m, d: m["config"].update(heads=0), "heads must be >= 1"),
         (_outside_file, "bare file name"),
     ], ids=["entry-5", "no-shape", "no-file", "shape-3", "float-shape", "tensors-list",
-            "string-value", "config-list", "x_s-33", "cyclic", "file-outside"])
+            "string-value", "config-list", "x_s-33", "cyclic", "heads-0", "file-outside"])
     def test_malformed_meta_is_a_data_error(self, saved, tmp_path, edit, detail):
         """Each entry is checked before any weight file is read: a file
         outside the checkpoint directory, even one holding valid weights,

@@ -315,7 +315,8 @@ class TestResumeFromSavedState:
 
     def test_every_parameter_maps_to_a_step(self, run):
         net = run.net
-        assert len(net.rfins) == 3 and len(net.dkins) == 3
+        assert len(net.rfins) == self.CFG.rfin_count
+        assert len(net.dkins) == self.CFG.dkin_count
         starts = net.resume_steps()
         n = len(net.plan.steps)
         assert list(starts) == [name for name, _ in net.named_params()]
@@ -327,6 +328,15 @@ class TestResumeFromSavedState:
             else:
                 assert 0 <= k < n, name
         assert [s[0] for s in run.saved] == list(range(n))
+
+    def test_a_block_no_step_claims_reruns_the_whole_forward(self, run, monkeypatch):
+        """Leaving a block out of _blocks_of costs audit time, not correctness."""
+        blocks_of = BraidNet._blocks_of
+        monkeypatch.setattr(BraidNet, "_blocks_of", lambda net, step: (
+            [] if isinstance(step, FinalFuse) else blocks_of(net, step)))
+        starts = run.net.resume_steps()
+        neck = run.net.patch_prior.neck.named_params("patch_prior.neck.")
+        assert neck and all(starts[name] is None for name, _ in neck)
 
     def test_resumed_loss_equals_whole_forward_bitwise(self, run):
         starts = run.net.resume_steps()
@@ -369,6 +379,18 @@ class TestResumeFromSavedState:
         for t in held:
             for q in params:
                 assert not np.shares_memory(t.data, q)
+
+
+class TestResumeAtFourDkins(TestResumeFromSavedState):
+    """The same checks at a wiring whose DKIN sources are [8, 6, 7, 8]:
+    dkin 1 reads domain 6 from the saved domain outputs after domain 8
+    has run, domain 8 feeds two couplers, and only two RFINs exist."""
+
+    CFG = ModelConfig(m=4, C=8, C_c=4, C_d=4, heads=2, x_c=8, x_s=32, window=2,
+                      rfin_count=2, dkin_count=4)
+
+    def test_wiring_is_the_one_described(self, run):
+        assert [src for src, _ in run.net.plan.dkin_pairs] == [8, 6, 7, 8]
 
 
 class TestInterpreterAgainstManualScript:

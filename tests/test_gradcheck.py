@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 
 from braidseg import tensor as T
-from braidseg.gradcheck import check_model, check_op, numeric_grad, rel_error
+from braidseg.gradcheck import check_model
 from braidseg.model import ModelConfig
 from braidseg.tensor import Tensor
+from opcheck import check_op, numeric_grad, rel_error
 
 
 class TestHelpers:

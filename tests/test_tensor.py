@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import braidseg.tensor as T
-from braidseg.gradcheck import check_op, numeric_grad, rel_error
+from opcheck import check_op, numeric_grad, rel_error
 
 LIN_TOL = 1e-6
 NONLIN_TOL = 1e-4
