@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -218,6 +219,11 @@ def _smooth_noise(rng, size, coarse=8, amp=1.0):
     return amp * bilinear_resize(grid, size)
 
 
+def _radius(theta, r0, a, phi):
+    """Boundary radius r0 * (1 + sum_k a_k sin((k+1) theta + phi_k)) at theta."""
+    return r0 * (1.0 + sum(a[k] * np.sin((k + 1) * theta + phi[k]) for k in range(4)))
+
+
 def _geometry(rng, size):
     """Sample (cx, cy, r0, a[4], phi[4]) with the lesion fully inside."""
     for _ in range(64):
@@ -225,8 +231,7 @@ def _geometry(rng, size):
         a = rng.uniform(0.0, 0.15, size=4)
         phi = rng.uniform(0.0, 2 * np.pi, size=4)
         theta = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
-        r = r0 * (1.0 + sum(a[k] * np.sin((k + 1) * theta + phi[k]) for k in range(4)))
-        margin = float(r.max()) + 1.5
+        margin = float(_radius(theta, r0, a, phi).max()) + 1.5
         if margin < size / 2:
             cx = rng.uniform(margin, size - margin)
             cy = rng.uniform(margin, size - margin)
@@ -237,12 +242,10 @@ def _geometry(rng, size):
 def _mask_from_geometry(size, cx, cy, r0, a, phi):
     yy, xx = np.mgrid[0:size, 0:size].astype(np.float64)
     dx, dy = xx + 0.5 - cx, yy + 0.5 - cy
-    theta = np.arctan2(dy, dx)
-    r = r0 * (1.0 + sum(a[k] * np.sin((k + 1) * theta + phi[k]) for k in range(4)))
-    return (np.hypot(dx, dy) <= r)
+    return np.hypot(dx, dy) <= _radius(np.arctan2(dy, dx), r0, a, phi)
 
 
-def _interior_pattern(rng, size, cls, mask, cx, cy):
+def _interior_pattern(rng, size, cls, cx, cy):
     """Per-pixel pattern in [0,1]: 0 = cystic-like, textured 1-ish = solid-like."""
     tex = 0.5 + 0.5 * _smooth_noise(rng, size)          # [0.5, 1]
     if cls == "cystic":
@@ -302,7 +305,6 @@ def generate_dataset(out_dir, seed, n_train, n_val, n_test, size=64,
         cls = CLASSES[gidx % len(CLASSES)]
         geom_ids.append((f"{cls}_{gidx:04d}", gidx, cls))
 
-    import zlib
     order = sorted(geom_ids, key=lambda t: (zlib.crc32(t[0].encode()), t[1]))
     split_of = {}
     for pos, (gid, _, _) in enumerate(order):
@@ -314,7 +316,7 @@ def generate_dataset(out_dir, seed, n_train, n_val, n_test, size=64,
         grng = np.random.default_rng(np.random.SeedSequence([int(seed), gidx]))
         cx, cy, r0, a, phi = _geometry(grng, size)
         mask = _mask_from_geometry(size, cx, cy, r0, a, phi)
-        pattern = _interior_pattern(grng, size, cls, mask, cx, cy)
+        pattern = _interior_pattern(grng, size, cls, cx, cy)
         mask_u8 = np.where(mask, 255, 0).astype(np.uint8)
 
         rendered = domains if paired else (domains[gidx % len(domains)],)

@@ -2,7 +2,7 @@
 
 Layers 1 and 2 downsample by stride 2 (widths C_c/2 then C_c); layers 3-8
 keep stride 1 at constant width, so the output grid is x_c/4 and matches
-the prior branch token grid (the constructor enforces x_s = 4*x_c).
+the prior branch token grid (ModelConfig.validate enforces x_s = 4*x_c).
 Cross-branch features arriving through the forward couplers are added to
 a layer's *output* (layers 3-5 under the default wiring); layers 6-8 are
 the feedback sources. A 1x1 projection maps the final map to the decoder
@@ -20,8 +20,6 @@ N_LAYERS = 8
 class DomainBranch(Block):
     def __init__(self, cfg):
         c = cfg.C_c
-        if c % 2 != 0:
-            raise ValueError(f"domain branch: C_c must be even, got {c}")
         self.layers = [
             ResidualSeBlock(1, c // 2, stride=2),
             ResidualSeBlock(c // 2, c, stride=2),

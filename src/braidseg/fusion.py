@@ -27,8 +27,6 @@ feedback coupler comes before the prior layers that lead up to its
 target. Scheduling requires every feedback target to come after the last
 forward-coupler source (3m < 4m-d+1, i.e. d <= m); otherwise
 construction fails with an error naming the layers on the cycle.
-Construction also dry-runs the step list (check_schedule), so the model
-can execute it as a plain loop with no checks of its own.
 """
 
 from __future__ import annotations
@@ -134,9 +132,9 @@ class FusionPlan:
                 f"(prior {targets[0]} needs domain {self.dkin_pairs[0][0]}, which needs "
                 f"domain 3..5, which needs prior {3 * m} >= {targets[0]}); requires d <= m")
         self.steps = self._build()
-        check_schedule(self.steps, m)
 
     def _build(self):
+        # by construction each layer runs once, in order; couplers go source -> target
         steps = []
         done = {RunPrior: 0, RunDomain: 0}      # layers run so far, by branch
 
@@ -182,69 +180,10 @@ class FusionPlan:
         return "\n".join(lines) + "\n"
 
 
-def check_schedule(steps, m):
-    """Dry-run a step list for a 4m-layer prior branch without tensors.
-
-    Raises RuntimeError("plan bug: ...") at the first step that would run
-    a layer twice or out of order, apply a forward coupler anywhere but
-    directly after its source prior layer, read a domain output before it
-    exists, target a layer that already ran, or that comes after the fuse;
-    and at the fuse if a branch is unfinished or a coupler output was never
-    consumed.
-    """
-    def bug(msg):
-        raise RuntimeError(f"plan bug: {msg}")
-
-    n_prior = 4 * m
-    prior_done = domain_done = 0
-    to_domain, to_prior = set(), set()   # pending outputs by target layer
-    fused = False
-    for s in steps:
-        if fused:
-            bug(f"step {s!r} after final fuse")
-        if isinstance(s, RunPrior):
-            if s.i != prior_done + 1 or s.i > n_prior:
-                bug(f"prior layer {s.i} but {prior_done} of {n_prior} done")
-            to_prior.discard(s.i)
-            prior_done = s.i
-        elif isinstance(s, RunDomain):
-            if s.j != domain_done + 1 or s.j > N_LAYERS:
-                bug(f"domain layer {s.j} but {domain_done} done")
-            to_domain.discard(s.j)
-            domain_done = s.j
-        elif isinstance(s, ApplyRfin):
-            if s.src_prior != prior_done:
-                bug(f"forward coupler reads prior layer {s.src_prior} "
-                    f"but prior layer {prior_done} ran last")
-            if s.dst_domain <= domain_done:
-                bug(f"forward coupler targets domain {s.dst_domain} which already ran")
-            to_domain.add(s.dst_domain)
-        elif isinstance(s, ApplyDkin):
-            if s.src_domain > domain_done:
-                bug(f"feedback coupler reads domain {s.src_domain} before it ran")
-            if s.dst_prior <= prior_done:
-                bug(f"feedback coupler targets prior {s.dst_prior} which already ran")
-            to_prior.add(s.dst_prior)
-        elif isinstance(s, FinalFuse):
-            if prior_done != n_prior or domain_done != N_LAYERS:
-                bug(f"fuse after {prior_done} of {n_prior} prior and "
-                    f"{domain_done} of {N_LAYERS} domain layers")
-            if to_domain or to_prior:
-                bug("unconsumed coupler outputs at fuse")
-            fused = True
-        else:
-            bug(f"unknown step {s!r}")
-    if not fused:
-        bug("no final fuse step")
-
-
 def build_plan(m, rfin_count, dkin_count):
     return FusionPlan(m, rfin_count, dkin_count)
 
 
 def final_fuse(prior_map, domain_map):
     """Element-wise addition of the two decoder-width maps."""
-    if prior_map.shape != domain_map.shape:
-        raise ValueError(
-            f"fuse: branch outputs disagree: {prior_map.shape} vs {domain_map.shape}")
     return T.add(prior_map, domain_map)

@@ -1,18 +1,14 @@
 """Model configuration and the assembled two-branch network.
 
-The fusion plan is static for a given (m, r, d), and FusionPlan checks it
-once, symbolically, when it is built: every layer runs exactly once and
-in order, every coupler reads a feature that already exists and feeds a
-layer that has not yet run, and nothing is left unconsumed at the fuse.
-A malformed plan therefore fails before any parameter exists, and
-BraidNet.encode runs the steps as a plain loop: one layer of either
-branch per step, each handed the coupler output pending for it, if any.
-The loop keeps the current tokens and map, the domain outputs and the
-pending coupler outputs. It can also start at any step from the state an
-earlier pass saved before it; the gradient audit uses this to rerun only
-the steps a perturbed parameter affects. BraidNet._blocks_of states once
-which blocks each step runs, and BraidNet.resume_steps matches every
-parameter to its first step by identity through it.
+The fusion plan is static for a given (m, r, d), so BraidNet.encode runs
+its steps as a plain loop: one layer of either branch per step, each
+handed the coupler output pending for it, if any. The loop keeps the
+current tokens and map, the domain outputs and the pending coupler
+outputs. It can also start at any step from the state an earlier pass
+saved before it; the gradient audit uses this to rerun only the steps a
+perturbed parameter affects. BraidNet._blocks_of states once which
+blocks each step runs, and BraidNet.resume_steps matches every parameter
+to its first step by identity through it.
 """
 
 from __future__ import annotations

@@ -293,12 +293,13 @@ def add_bias(x, b):
     return _make(x.data + b.data, (x, b), bwd)
 
 
-def leaky_relu(x, alpha=0.01):
+def leaky_relu(x):
     mask_pos = x.data > 0
-    out = np.where(mask_pos, x.data, x.data * x.dtype.type(alpha))
+    alpha = x.dtype.type(0.01)
+    out = np.where(mask_pos, x.data, x.data * alpha)
 
     def bwd(g, seeds):
-        _flow(seeds, x, g * np.where(mask_pos, x.dtype.type(1), x.dtype.type(alpha)))
+        _flow(seeds, x, g * np.where(mask_pos, x.dtype.type(1), alpha))
 
     return _make(out, (x,), bwd)
 
@@ -509,7 +510,7 @@ def _mean(a, axes, n):
     return s
 
 
-def _norm(name, x, gamma, beta, axes, param_axis, pshape, eps):
+def _norm(name, x, gamma, beta, axes, param_axis, pshape):
     if gamma.shape != beta.shape:
         raise ValueError(f"{name}: gamma shape {gamma.shape} != beta shape {beta.shape}")
     if x.dtype != gamma.dtype or x.dtype != beta.dtype:
@@ -518,7 +519,7 @@ def _norm(name, x, gamma, beta, axes, param_axis, pshape, eps):
     mu = _mean(x.data, axes, n)
     xm = x.data - mu
     var = _mean(xm * xm, axes, n)
-    ivar = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    ivar = 1.0 / np.sqrt(var + x.dtype.type(1e-5))     # eps
     xhat = xm * ivar
     gview = gamma.data.reshape(pshape)
     out = xhat * gview + beta.data.reshape(pshape)
@@ -538,21 +539,21 @@ def _norm(name, x, gamma, beta, axes, param_axis, pshape, eps):
     return _make(out, (x, gamma, beta), bwd)
 
 
-def layer_norm(x, gamma, beta, eps=1e-5):
+def layer_norm(x, gamma, beta):
     """Normalize over the last axis (per token); gamma/beta of shape [C]."""
     if gamma.shape != (x.shape[-1],):
         raise ValueError(f"layer_norm: gamma shape {gamma.shape} != ({x.shape[-1]},)")
     pshape = (1,) * (x.ndim - 1) + (x.shape[-1],)
-    return _norm("layer_norm", x, gamma, beta, (x.ndim - 1,), x.ndim - 1, pshape, eps)
+    return _norm("layer_norm", x, gamma, beta, (x.ndim - 1,), x.ndim - 1, pshape)
 
 
-def instance_norm(x, gamma, beta, eps=1e-5):
+def instance_norm(x, gamma, beta):
     """Normalize each (sample, channel) over its spatial extent; x [B,C,H,W]."""
     if x.ndim != 4:
         raise ValueError(f"instance_norm: need [B,C,H,W], got {x.shape}")
     if gamma.shape != (x.shape[1],):
         raise ValueError(f"instance_norm: gamma shape {gamma.shape} != ({x.shape[1]},)")
-    return _norm("instance_norm", x, gamma, beta, (2, 3), 1, (1, x.shape[1], 1, 1), eps)
+    return _norm("instance_norm", x, gamma, beta, (2, 3), 1, (1, x.shape[1], 1, 1))
 
 
 # ---------------------------------------------------------------------

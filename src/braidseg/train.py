@@ -45,11 +45,11 @@ class TrainConfig:
         return self
 
 
-def poly_lr(lr0, epoch, total_epochs, power=0.9):
-    """lr0 * (1 - epoch/total)^power; exactly lr0 at 0, exactly 0 at total."""
+def poly_lr(lr0, epoch, total_epochs):
+    """lr0 * (1 - epoch/total)^0.9; exactly lr0 at 0, exactly 0 at total."""
     if not (0 <= epoch <= total_epochs):
         raise ValueError(f"poly_lr: epoch {epoch} outside 0..{total_epochs}")
-    return lr0 * (1.0 - epoch / total_epochs) ** power
+    return lr0 * (1.0 - epoch / total_epochs) ** 0.9
 
 
 # ---------------------------------------------------------------------

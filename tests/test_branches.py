@@ -131,8 +131,8 @@ class TestDomainBranch:
     def test_width_must_be_even(self):
         cfg = ModelConfig(m=2, C=16, C_c=7, C_d=8, heads=2, x_c=8, x_s=32,
                           window=2, rfin_count=0, dkin_count=0)
-        with pytest.raises(ValueError, match="even"):
-            DomainBranch(cfg)
+        with pytest.raises(ValueError, match="C_c must be even"):
+            cfg.validate()
 
     def test_projection_to_decoder_width(self):
         rng = np.random.default_rng(7)

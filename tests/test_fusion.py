@@ -1,15 +1,15 @@
-"""Coupling plan: pair tables, schedule legality, the zero identity."""
+"""Coupling plan: pair tables, schedule legality, the zero identity, batch
+invariance of the coupled model."""
 
 import numpy as np
 import pytest
 from dataclasses import replace
 from types import SimpleNamespace
 
-from braidseg import model as model_mod
 from braidseg.blocks import cast_block
+from braidseg.domain import N_LAYERS
 from braidseg.fusion import (ApplyDkin, ApplyRfin, CycleError, FinalFuse,
-                             FusionPlan, RunDomain, RunPrior, build_plan,
-                             check_schedule)
+                             RunDomain, RunPrior, build_plan)
 from braidseg.model import BraidNet, ModelConfig, build_model
 
 GOLDEN_TRACE_M3 = """\
@@ -93,60 +93,76 @@ class TestLegality:
             build_model(ModelConfig(m=2))    # desk defaults carry d = 3
 
 
+def schedule_fault(steps, m):
+    """The plan's schedule invariants, stated once: the first way `steps`
+    for a 4m-layer prior branch breaks them, or None.
+
+    Each branch runs every layer once and in order. A forward coupler comes
+    directly after its source prior layer and targets a domain layer that
+    has not run; a feedback coupler reads a domain layer that has run and
+    targets a prior layer that has not. The fuse is the last step, after
+    both branches have finished and every coupler output was consumed.
+    """
+    prior_done = domain_done = 0
+    to_domain, to_prior = set(), set()   # pending outputs by target layer
+    for k, s in enumerate(steps):
+        if isinstance(s, RunPrior):
+            if s.i != prior_done + 1 or s.i > 4 * m:
+                return f"prior layer {s.i} but {prior_done} of {4 * m} done"
+            to_prior.discard(s.i)
+            prior_done = s.i
+        elif isinstance(s, RunDomain):
+            if s.j != domain_done + 1 or s.j > N_LAYERS:
+                return f"domain layer {s.j} but {domain_done} done"
+            to_domain.discard(s.j)
+            domain_done = s.j
+        elif isinstance(s, ApplyRfin):
+            if s.src_prior != prior_done:
+                return (f"forward coupler reads prior layer {s.src_prior} "
+                        f"but prior layer {prior_done} ran last")
+            if s.dst_domain <= domain_done:
+                return f"forward coupler targets domain {s.dst_domain} which already ran"
+            to_domain.add(s.dst_domain)
+        elif isinstance(s, ApplyDkin):
+            if s.src_domain > domain_done:
+                return f"feedback coupler reads domain {s.src_domain} before it ran"
+            if s.dst_prior <= prior_done:
+                return f"feedback coupler targets prior {s.dst_prior} which already ran"
+            to_prior.add(s.dst_prior)
+        elif isinstance(s, FinalFuse):
+            if prior_done != 4 * m or domain_done != N_LAYERS:
+                return (f"fuse after {prior_done} of {4 * m} prior and "
+                        f"{domain_done} of {N_LAYERS} domain layers")
+            if to_domain or to_prior:
+                return "unconsumed coupler outputs at fuse"
+            if k + 1 < len(steps):
+                return f"step {steps[k + 1]!r} after final fuse"
+            return None
+        else:
+            return f"unknown step {s!r}"
+    return "no final fuse step"
+
+
+# every (m, r, d) with m = 1..8 that schedules: r <= 3 forward, d <= m feedback
+LEGAL = [(m, r, d) for m in range(1, 9) for r in range(4) for d in range(m + 1)]
+
+
 class TestSchedule:
     def test_golden_trace_m3(self):
         assert build_plan(3, 3, 3).trace() == GOLDEN_TRACE_M3
 
-    @pytest.mark.parametrize("m,r,d", [
-        (1, 0, 0), (1, 3, 1), (2, 2, 2), (3, 3, 3), (3, 0, 3),
-        (4, 1, 4), (5, 3, 2), (6, 3, 6), (6, 0, 1), (3, 3, 0),
-    ])
+    @pytest.mark.parametrize("m,r,d", LEGAL)
     def test_every_layer_runs_once_and_deps_precede_uses(self, m, r, d):
         plan = build_plan(m, r, d)
-        prior_done = 0
-        domain_done = 0
-        pending_domain = set()
-        pending_prior = set()
-        fused = False
-        for step in plan.steps:
-            assert not fused
-            if isinstance(step, RunPrior):
-                assert step.i == prior_done + 1
-                pending_prior.discard(step.i)
-                prior_done = step.i
-            elif isinstance(step, RunDomain):
-                assert step.j == domain_done + 1
-                pending_domain.discard(step.j)
-                domain_done = step.j
-            elif isinstance(step, ApplyRfin):
-                assert step.src_prior == prior_done
-                assert step.src_prior in (m, 2 * m, 3 * m)
-                assert step.dst_domain > domain_done
-                pending_domain.add(step.dst_domain)
-            elif isinstance(step, ApplyDkin):
-                assert step.src_domain <= domain_done
-                assert step.dst_prior > prior_done
-                pending_prior.add(step.dst_prior)
-            elif isinstance(step, FinalFuse):
-                assert prior_done == 4 * m
-                assert domain_done == 8
-                assert not pending_domain and not pending_prior
-                fused = True
-        assert fused
+        assert schedule_fault(plan.steps, m) is None
+        assert [(s.idx, s.src_prior, s.dst_domain) for s in plan.steps
+                if isinstance(s, ApplyRfin)] == [(k, *p) for k, p in enumerate(plan.rfin_pairs)]
+        assert [(s.idx, s.src_domain, s.dst_prior) for s in plan.steps
+                if isinstance(s, ApplyDkin)] == [(k, *p) for k, p in enumerate(plan.dkin_pairs)]
+        assert len(plan.rfin_pairs) == r and len(plan.dkin_pairs) == d
 
     def test_trace_is_reproducible(self):
         assert build_plan(4, 2, 1).trace() == build_plan(4, 2, 1).trace()
-
-    def test_every_legal_wiring_constructs(self):
-        built = 0
-        for m in range(1, 7):
-            for r in range(4):
-                for d in range(m + 1):
-                    plan = FusionPlan(m, r, d)
-                    assert isinstance(plan.steps[-1], FinalFuse)
-                    assert len(plan.rfin_pairs) == r and len(plan.dkin_pairs) == d
-                    built += 1
-        assert built == 4 * sum(m + 1 for m in range(1, 7))
 
 
 def _move(steps, step, before):
@@ -191,38 +207,24 @@ MALFORMED = {
         "unconsumed coupler outputs"),
     "step after the fuse": (lambda s: s + [RunDomain(8)], "after final fuse"),
     "no fuse": (lambda s: s[:-1], "no final fuse"),
+    "unknown step": (lambda s: [object()] + s, "unknown step"),
 }
 
 
 class TestCheckSchedule:
+    """schedule_fault's own test: it passes the reference plan and names
+    each fault planted in it."""
+
     def test_reference_steps_pass(self):
-        check_schedule(REF, 3)
+        assert schedule_fault(REF, 3) is None
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_each_malformation_is_a_plan_bug(self, case):
         edit, detail = MALFORMED[case]
         bad = edit(list(REF))
         assert bad != REF
-        with pytest.raises(RuntimeError, match="plan bug") as err:
-            check_schedule(bad, 3)
-        assert detail in str(err.value)
-
-    def test_unknown_step_is_a_plan_bug(self):
-        with pytest.raises(RuntimeError, match="plan bug: unknown step"):
-            check_schedule([object()] + REF, 3)
-
-    def test_malformed_plan_fails_before_any_parameter(self, monkeypatch):
-        """FusionPlan.__init__ runs the check, so BraidNet never reaches
-        its first parameter allocation."""
-        monkeypatch.setattr(FusionPlan, "_build", lambda self: REF[:-1])
-
-        def no_params(*a, **k):
-            raise AssertionError("parameters allocated before the plan was checked")
-
-        monkeypatch.setattr(model_mod, "PriorBranch", no_params)
-        cfg = ModelConfig(m=3, C=16, C_c=8, C_d=8, heads=2, x_c=16, x_s=64, window=2)
-        with pytest.raises(RuntimeError, match="plan bug: no final fuse"):
-            BraidNet(cfg)
+        fault = schedule_fault(bad, 3)
+        assert fault is not None and detail in fault, fault
 
 
 class TestZeroCouplerIdentity:
@@ -271,6 +273,30 @@ class TestZeroCouplerIdentity:
         xc = rng.random((2, 1, 8, 8), dtype=np.float32)
         xs = rng.random((2, 1, 32, 32), dtype=np.float32)
         assert full.forward(xc, xs).data.tobytes() == bare.forward(xc, xs).data.tobytes()
+
+
+class TestBatchInvariance:
+    def test_a_batch_segments_each_image_as_it_would_alone(self):
+        """Default config with every coupler open: a batch of 4 gives each
+        image's logits within 1e-6 of its own forward pass, and the same
+        mask. Bitwise equality is not promised: BLAS may block a batched
+        matmul differently from a single row."""
+        from braidseg.tensor import no_grad
+
+        cfg = ModelConfig()
+        net = build_model(cfg, seed=2)
+        rng = np.random.default_rng(6)
+        for _, p in net.named_params():
+            if not p.data.any():
+                p.data = rng.normal(0.0, 0.05, size=p.shape).astype(np.float32)
+        xc = rng.random((4, 1, cfg.x_c, cfg.x_c), dtype=np.float32)
+        xs = rng.random((4, 1, cfg.x_s, cfg.x_s), dtype=np.float32)
+        with no_grad():
+            batched = net.forward(xc, xs).data
+            alone = np.concatenate([net.forward(xc[i:i + 1], xs[i:i + 1]).data
+                                    for i in range(4)])
+        assert np.abs(batched - alone).max() <= 1e-6
+        assert np.array_equal(batched > 0, alone > 0)
 
 
 class TestResumeFromSavedState:

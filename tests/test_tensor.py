@@ -55,7 +55,7 @@ class TestForward:
 
     def test_leaky_relu_values(self):
         x = T.Tensor(np.array([-2.0, 0.0, 3.0], dtype=np.float32))
-        assert np.allclose(T.leaky_relu(x, 0.01).data, [-0.02, 0.0, 3.0])
+        assert np.allclose(T.leaky_relu(x).data, [-0.02, 0.0, 3.0])
 
     def test_relu_values(self):
         x = T.Tensor(np.array([-2.0, 0.0, 3.0], dtype=np.float32))
@@ -504,7 +504,7 @@ class TestFiniteDifferences:
     @pytest.mark.parametrize("seed", [13, 14, 15])
     def test_activations(self, seed):
         x = rand(3, 5, seed=seed)
-        assert check_op(lambda t: T.leaky_relu(t, 0.01), (x,), 0) < NONLIN_TOL
+        assert check_op(T.leaky_relu, (x,), 0) < NONLIN_TOL
         assert check_op(T.relu, (x,), 0) < NONLIN_TOL
         assert check_op(T.sigmoid, (x,), 0) < NONLIN_TOL
         assert check_op(T.gelu, (x,), 0) < NONLIN_TOL

@@ -42,10 +42,11 @@ class TestSchedules:
         assert poly_lr(0.05, 50, 50) == 0.0
 
     def test_poly_linear_case(self):
-        assert poly_lr(1.0, 25, 100, power=1.0) == 0.75
+        """A quarter of the way in, the rate is 0.75^0.9 of lr0, not 0.75."""
+        assert poly_lr(1.0, 25, 100) == pytest.approx(0.7718895, abs=1e-7)
 
     def test_poly_monotone_decreasing(self):
-        vals = [poly_lr(1e-3, e, 40, power=0.9) for e in range(41)]
+        vals = [poly_lr(1e-3, e, 40) for e in range(41)]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_poly_rejects_out_of_range_epoch(self):
