@@ -8,6 +8,8 @@ Everything here is plain numpy underneath; no graph compiler, no tape
 object, just parent pointers and per-op backward closures.
 """
 
+import math
+
 import numpy as np
 
 from braidseg import tensor as T
@@ -37,8 +39,8 @@ wm = w.data.copy(); wm[i, j] -= eps
 
 def f(wmat):
     z = x.data @ wmat
-    # gelu(z) = z * Phi(z); same formula the op uses
-    from scipy.special import erf
+    # gelu(z) = z * Phi(z); same formula the op uses, with the libm erf
+    erf = np.vectorize(math.erf)
     return float((z * 0.5 * (1.0 + erf(z / np.sqrt(2.0)))).sum())
 
 

@@ -17,7 +17,7 @@ import numpy as np
 from .data import (DataError, generate_dataset, load_checkpoint, load_manifest,
                    read_pgm, select, write_pgm)
 from .evaluate import (ablate, ablation_csv, ablation_text, evaluate,
-                       predict_mask)
+                       predict_mask, write_report)
 from .fusion import CycleError
 from .model import ModelConfig, build_model
 from .train import NumericError, TrainConfig, train
@@ -101,7 +101,8 @@ def build_parser():
     e.add_argument("--ckpt", required=True)
     e.add_argument("--split", choices=("train", "val", "test"), default="test")
     e.add_argument("--domain", choices=("A", "B"), default=None)
-    e.add_argument("--report", required=True, help="CSV output path")
+    e.add_argument("--report", required=True,
+                   help="CSV output path; the text report is written beside it as .txt")
 
     r = sub.add_parser("predict", prog="braidseg predict",
                        help="segment a single image")
@@ -174,12 +175,11 @@ def _cmd_eval(args):
     if not samples:
         raise DataError(f"no samples match split={args.split} domain={args.domain}")
     report = evaluate(model, args.data, samples)
-    out_dir = os.path.dirname(args.report) or "."
-    os.makedirs(out_dir, exist_ok=True)
-    with open(args.report, "w") as f:
-        f.write(report.to_csv())
+    out_dir, name = os.path.split(args.report)
+    stem = name[:-len(".csv")] if name.endswith(".csv") else name
+    csv_path, txt_path = write_report(report, out_dir or ".", stem)
     print(report.to_text(), end="")
-    print(f"report written to {args.report}")
+    print(f"report written to {csv_path} and {txt_path}")
     return EXIT_OK
 
 

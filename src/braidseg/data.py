@@ -33,7 +33,6 @@ import zlib
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import ndimage
 
 CLASSES = ("cystic", "solid", "mixed")
 DOMAINS = ("A", "B")
@@ -263,6 +262,16 @@ def _interior_pattern(rng, size, cls, cx, cy):
 _DOMAIN_LEVELS = {"A": (0.58, 0.10, 0.30), "B": (0.25, 0.70, 0.20)}
 
 
+def _box3(img):
+    """3x3 mean of a float32 image whose edge samples are mirrored outward
+    (a | a b c | c). Rows first, then columns; each pass sums in float64
+    and rounds back to float32."""
+    for _ in range(2):                      # each pass filters axis 0, then transposes
+        p = np.concatenate((img[:1], img, img[-1:]), dtype=np.float64)
+        img = (((p[:-2] + p[1:-1]) + p[2:]) / 3.0).astype(np.float32).T
+    return np.ascontiguousarray(img)
+
+
 def _render(rng, size, mask, pattern, domain):
     bg, floor, span = _DOMAIN_LEVELS[domain]
     scene = np.full((size, size), bg, dtype=np.float32)
@@ -270,7 +279,7 @@ def _render(rng, size, mask, pattern, domain):
     if domain == "A":
         sigma = np.sqrt(2.0 / np.pi)                     # Rayleigh with mean 1
         speckle = rng.rayleigh(scale=sigma, size=(size, size)).astype(np.float32)
-        img = ndimage.uniform_filter(scene * speckle, size=3, mode="reflect")
+        img = _box3(scene * speckle)
     else:
         u = (np.arange(size) + 0.5) / size - 0.5
         uu, vv = np.meshgrid(u, u, indexing="xy")

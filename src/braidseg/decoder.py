@@ -16,6 +16,8 @@ no mask-quality token.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from . import tensor as T
@@ -39,11 +41,28 @@ def sine_cosine_pe(coords, c, dtype=np.float32):
     return pe.astype(dtype)
 
 
+def _read_only(arr):
+    arr.flags.writeable = False
+    return arr
+
+
+@functools.lru_cache(maxsize=16)
 def grid_pe(g, c, dtype=np.float32):
-    """[g*g, c] code of pixel centers of a g x g grid, row-major."""
+    """[g*g, c] code of pixel centers of a g x g grid, row-major.
+
+    Built once per (g, c, dtype) and shared by every decode, so the array
+    is read-only.
+    """
     ii, jj = np.mgrid[0:g, 0:g]
     coords = np.stack([(jj + 0.5) / g, (ii + 0.5) / g], axis=-1).reshape(g * g, 2)
-    return sine_cosine_pe(coords, c, dtype)
+    return _read_only(sine_cosine_pe(coords, c, dtype))
+
+
+@functools.lru_cache(maxsize=16)
+def _corner_pe(c, dtype):
+    """[2, c] read-only code of the whole-image box corners (0,0) and (W,H),
+    normalized by the extent itself."""
+    return _read_only(sine_cosine_pe(np.array([[0.0, 0.0], [1.0, 1.0]]), c, dtype))
 
 
 class PromptEncoder(Block):
@@ -57,14 +76,12 @@ class PromptEncoder(Block):
     def forward(self, batch):
         # The box is fixed to the whole image, so the two prompt tokens are
         # a function of the parameters alone: no input reaches them, and
-        # only the batch expansion varies. They are still rebuilt on every
-        # call: check_model edits corner_tl and corner_br in place between
-        # forward-only passes, so a cache would hand back stale tokens, and
-        # rebuilding costs about 0.1 ms of a 17 ms 64 px forward.
-        # corners (0,0) and (W,H), normalized by the extent itself
-        pe = sine_cosine_pe(np.array([[0.0, 0.0], [1.0, 1.0]]), self._c, self.corner_tl.dtype)
+        # only the batch expansion varies. Only their positional part is
+        # cached; the tokens are rebuilt on every call, because check_model
+        # edits corner_tl and corner_br in place between forward-only
+        # passes, so a token cache would hand back stale tokens.
         corners = T.concat([self.corner_tl, self.corner_br], 0)       # [2, C_d]
-        tokens = T.add(corners, Tensor(pe))
+        tokens = T.add(corners, Tensor(_corner_pe(self._c, self.corner_tl.dtype)))
         tokens = T.reshape(tokens, (1, 2, self._c))
         return T.expand_batch(tokens, batch)
 

@@ -21,8 +21,9 @@ recorded pass.
 
 Concurrency: a graph is built and differentiated on one thread;
 independent graphs on independent tensors are safe in parallel. The
-no_grad flag is per thread. Tensors are treated as immutable inside a
-graph; the optimizer mutates parameter .data in place only between graphs.
+no_grad flag and gelu's erf work rows are per thread. Tensors are treated
+as immutable inside a graph; the optimizer mutates parameter .data in
+place only between graphs.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import threading
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import special as _sp
 
 __all__ = [
     "Tensor", "add", "sub", "mul", "div", "scale", "add_bias",
@@ -334,11 +334,97 @@ def sigmoid(x):
     return _make(y, (x,), bwd)
 
 
+# Cephes' erf (ndtr.c): x T(x^2) / U(x^2) for |x| <= 1, else
+# 1 - exp(-x^2) P(|x|) / Q(|x|); U and Q have an implicit leading 1
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERF_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+          4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+          9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERF_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+          9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+          1.65666309194161350182e3, 5.57535340817727675546e2)
+# one block holds a whole [1, 64, 384] prior-MLP activation
+_ERF_BLOCK = 32768
+
+
+class _ErfRows(threading.local):
+    """Four float64 rows of one block (1 MiB), allocated once per thread.
+
+    Fresh float64 temporaries on every call are returned to the OS when
+    glibc trims its heap, and faulted in again on the next call: about
+    1,300 minor page faults per default-config forward pass.
+    """
+
+    def __init__(self):
+        self.rows = np.empty((4, _ERF_BLOCK))
+
+
+_erf_rows = _ErfRows()
+
+
+def _horner(acc, coefs, t):
+    """acc <- ((acc + c0) t + c1) t + ... + cn in place, in Cephes' order."""
+    acc += coefs[0]
+    for c in coefs[1:]:
+        acc *= t
+        acc += c
+
+
+def _erf(x):
+    """erf of a float array, from Cephes' float64 evaluation rounded to x's dtype.
+
+    Works a block at a time in the thread's float64 rows. The near form
+    runs on every element; those with |x| > 1 then take the far form, which
+    clamps |x| at 6: erfc(6) is below half an ulp of 1.
+    """
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape, x.dtype)
+    rows = _erf_rows.rows
+    # the near form overflows on huge inputs, whose lanes the far form overwrites
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, flat.size, _ERF_BLOCK):
+            xb = flat[lo:lo + _ERF_BLOCK]
+            z, num, den, w = rows[:, :xb.size]
+            np.multiply(xb, xb, out=z, dtype=np.float64)
+            np.multiply(z, _ERF_T[0], out=num)
+            _horner(num, _ERF_T[1:], z)                      # polevl(z, T, 4)
+            np.copyto(den, z)
+            _horner(den, _ERF_U, z)                          # p1evl(z, U, 5)
+            np.multiply(num, xb, out=num)
+            num /= den
+            far = np.flatnonzero(z > 1.0)                    # |x| > 1; NaN stays near
+            if far.size:
+                s = xb[far]
+                a, p, q = z[:far.size], den[:far.size], w[:far.size]
+                np.abs(s, out=a, dtype=np.float64)
+                np.minimum(a, 6.0, out=a)
+                np.multiply(a, _ERF_P[0], out=p)
+                _horner(p, _ERF_P[1:], a)                    # polevl(a, P, 8)
+                np.copyto(q, a)
+                _horner(q, _ERF_Q, a)                        # p1evl(a, Q, 8)
+                np.multiply(a, a, out=a)
+                np.negative(a, out=a)
+                np.exp(a, out=a)
+                a *= p
+                a /= q                                       # erfc(|x|)
+                np.subtract(1.0, a, out=a)
+                num[far] = np.copysign(a, s, out=a, dtype=np.float64)
+            out[lo:lo + _ERF_BLOCK] = num
+    return out.reshape(x.shape)
+
+
 def gelu(x):
-    """Exact Gauss-error-function GELU."""
+    """Exact Gauss-error-function GELU.
+
+    erf is Cephes' rational form, evaluated in float64 and rounded to the
+    input's dtype (_erf).
+    """
     # python-float constants: a numpy float64 scalar would promote float32 z
     z = x.data
-    phi = 0.5 * (1.0 + _sp.erf(z / math.sqrt(2.0)))
+    phi = 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))
     out = z * phi
 
     def bwd(g, seeds):

@@ -150,7 +150,10 @@ class TestEvalPredict:
         lines = report.read_text().splitlines()
         assert lines[0] == "class,domain,n,dice_mean_pct,dice_std_pct"
         assert lines[-1].startswith("all,all,2,")
-        assert "threshold 0.5" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "threshold 0.5" in out
+        text = (pipeline["base"] / "rep" / "scores.txt").read_text()
+        assert text and out.startswith(text)
 
     def test_eval_empty_selection(self, pipeline, tmp_path, capsys):
         solo = tmp_path / "solo"

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from braidseg.data import (CLASSES, DOMAINS, DataError, Sample,
+from braidseg.data import (CLASSES, DOMAINS, DataError, Sample, _box3,
                            bilinear_resize, generate_dataset, load_checkpoint,
                            load_manifest, load_sample, make_views,
                            nearest_resize, read_pgm, save_checkpoint,
@@ -207,6 +207,39 @@ def saved(tmp_path_factory):
     root = tmp_path_factory.mktemp("ckpt") / "step"
     save_checkpoint(model, root, epoch=3, seed=4)
     return model, str(root)
+
+
+def box3_reference(img):
+    """Per-pixel 3x3 mean with mirrored indices, rows then columns, in
+    float64 rounded to float32 after each pass."""
+    def mirror(i, n):
+        return -i - 1 if i < 0 else 2 * n - i - 1 if i >= n else i
+
+    def one_pass(a):
+        out = np.empty_like(a)
+        n = a.shape[0]
+        for i in range(n):
+            for j in range(a.shape[1]):
+                p, q, r = (float(a[mirror(k, n), j]) for k in (i - 1, i, i + 1))
+                out[i, j] = np.float32(((p + q) + r) / 3.0)
+        return out
+
+    return one_pass(one_pass(img).T).T
+
+
+class TestBoxFilter:
+    @pytest.mark.parametrize("size", [3, 16, 17, 64])
+    def test_matches_the_per_pixel_reference(self, size):
+        rng = np.random.default_rng(size)
+        img = (rng.uniform(0.0, 1.0, (size, size))
+               * rng.rayleigh(0.8, (size, size))).astype(np.float32)
+        out = _box3(img)
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert np.array_equal(out, box3_reference(img))
+
+    def test_constant_image_is_a_fixed_point(self):
+        img = np.full((5, 5), 0.25, dtype=np.float32)
+        assert np.array_equal(_box3(img), img)
 
 
 class TestGeneration:

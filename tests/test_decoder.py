@@ -3,11 +3,18 @@
 import numpy as np
 import pytest
 
+from braidseg import decoder
 from braidseg import tensor as T
 from braidseg.blocks import init_params
 from braidseg.decoder import (MaskDecoder, PromptEncoder, TwoWayLayer,
                               grid_pe, sine_cosine_pe)
+from braidseg.gradcheck import check_model
+from braidseg.model import ModelConfig, build_model
 from braidseg.tensor import Tensor
+
+# the benchmark's audit config
+GRADCHECK_CFG = ModelConfig(m=3, C=12, C_c=8, C_d=8, heads=3, x_c=16, x_s=64, window=2,
+                            rfin_count=3, dkin_count=3)
 
 
 class TestPositionalCode:
@@ -155,3 +162,39 @@ class TestMaskDecoder:
         both = dec.forward(Tensor(fused), Tensor(prompts)).data
         solo = dec.forward(Tensor(fused[1:]), Tensor(prompts[1:])).data
         assert np.allclose(both[1], solo[0], atol=1e-6)
+
+
+class TestPositionalCodeCache:
+    """grid_pe and the prompt-corner code are built once per (g, c, dtype)."""
+
+    def test_decodes_share_one_read_only_code(self, monkeypatch):
+        seen = {"grid_pe": [], "_corner_pe": []}
+        for name, calls in seen.items():
+            real = getattr(decoder, name)
+            monkeypatch.setattr(decoder, name,
+                                lambda *a, real=real, calls=calls: calls.append(real(*a)) or calls[-1])
+        model = build_model(ModelConfig(m=1, C=8, C_c=4, C_d=4, heads=2, x_c=8, x_s=32, window=2,
+                                        rfin_count=1, dkin_count=1), seed=0)
+        fused = Tensor(np.random.default_rng(0).normal(size=(1, 4, 2, 2)).astype(np.float32))
+        with T.no_grad():
+            first, second = (model.decode(fused).data for _ in range(2))
+        assert np.array_equal(first, second)
+        for calls in seen.values():
+            assert len(calls) == 2 and calls[0] is calls[1]
+            with pytest.raises(ValueError):
+                calls[0][0, 0] = 1.0
+
+    def test_tokens_follow_in_place_corner_edits(self):
+        enc = PromptEncoder(8)
+        init_params(enc, 0)
+        before = enc.forward(1).data.copy()
+        enc.corner_tl.data[0, 0] += 1.0
+        after = enc.forward(1).data
+        assert np.isclose(after[0, 0, 0], before[0, 0, 0] + 1.0, atol=1e-6)
+        assert np.array_equal(after[0, 1], before[0, 1])
+
+    def test_the_cache_leaves_the_gradient_audit_unchanged(self, monkeypatch):
+        cached = check_model(GRADCHECK_CFG, seed=0)[0]
+        for name in ("grid_pe", "_corner_pe"):
+            monkeypatch.setattr(decoder, name, getattr(decoder, name).__wrapped__)
+        assert check_model(GRADCHECK_CFG, seed=0)[0] == cached

@@ -1,15 +1,23 @@
-"""Every name a module of the package imports is used in that module.
+"""What the package's modules import.
 
-No linter runs on the package, so this stands in for an unused-import
-rule. __init__.py is skipped: its imports are the package's re-exports.
+Every name a module imports is used in that module: no linter runs on the
+package, so this stands in for an unused-import rule. __init__.py is
+skipped there: its imports are the package's re-exports.
+
+numpy is the only third-party runtime dependency: no module imports
+scipy, and importing the package and its CLI loads none of it.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "braidseg"
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "braidseg"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -40,3 +48,35 @@ def test_no_unused_import(path):
 def test_the_check_sees_an_unused_import():
     src = "from __future__ import annotations\nimport os\nfrom a import b, c as d\nd()\n"
     assert unused_imports(src) == [(2, "os"), (3, "b")]
+
+
+def scipy_imports(source):
+    """(line, module) of every import of scipy or a scipy submodule."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(node.lineno, alias.name) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.append((node.lineno, node.module))
+    return [(line, name) for line, name in found if name.partition(".")[0] == "scipy"]
+
+
+def test_no_module_imports_scipy():
+    found = {p.name: scipy_imports(p.read_text()) for p in sorted(PACKAGE.rglob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_check_sees_a_scipy_import():
+    src = ("import numpy\nfrom scipy import special as _sp\nimport scipy.ndimage as nd\n"
+           "from . import scipy_like\nfrom scipyx import y\n")
+    assert scipy_imports(src) == [(2, "scipy"), (3, "scipy.ndimage")]
+
+
+def test_importing_the_package_loads_no_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    code = ("import sys, braidseg, braidseg.cli\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"

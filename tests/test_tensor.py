@@ -5,6 +5,8 @@ Every differentiable op is checked against central differences at float64
 away from activation kinks so the numeric side is well defined.
 """
 
+import math
+import sys
 import threading
 
 import numpy as np
@@ -22,6 +24,81 @@ def rand(*shape, seed=0, lo=-1.0, hi=1.0):
     x = rng.uniform(lo, hi, size=shape)
     # keep clear of relu/leaky kinks at 0
     return np.where(np.abs(x) < 0.05, x + 0.1, x)
+
+
+class TestErf:
+    """The numpy Cephes erf behind gelu, against the C library's math.erf."""
+
+    def test_float64_within_four_ulps(self):
+        # Cephes' own error reaches 3 ulps of the libm value on this grid
+        # (3.3e-16 at x = -0.9374)
+        x = np.linspace(-8.0, 8.0, 160_001)
+        ref = np.array([math.erf(v) for v in x])
+        assert np.all(np.abs(T._erf(x) - ref) <= 4 * np.spacing(np.abs(ref)))
+
+    def test_float32_rounds_like_the_float64_value(self):
+        rng = np.random.default_rng(0)
+        x = (rng.standard_normal(1_000_000) * 2.0).astype(np.float32)
+        ref = np.array([math.erf(v) for v in x.tolist()], dtype=np.float32)
+        y = T._erf(x)
+        assert y.dtype == np.float32
+        assert np.array_equal(y, ref)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_odd_symmetry_is_exact(self, dtype):
+        x = np.random.default_rng(1).uniform(0.0, 7.0, size=4096).astype(dtype)
+        assert np.array_equal(T._erf(-x), -T._erf(x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_special_values(self, dtype):
+        x = np.array([0.0, -0.0, 1.0, -1.0, 6.0, -6.0, np.inf, -np.inf, np.nan], dtype=dtype)
+        with np.errstate(all="raise"):
+            y = T._erf(x)
+        assert y.dtype == dtype
+        assert np.array_equal(np.signbit(y[:2]), [False, True]) and not y[:2].any()
+        assert abs(y[2] - math.erf(1.0)) <= np.spacing(dtype(1.0)) and y[3] == -y[2]
+        assert y[4:8].tolist() == [1.0, -1.0, 1.0, -1.0]
+        assert np.isnan(y[8])
+
+    def test_branches_meet_at_one(self):
+        # the last value of the |x| <= 1 form and the first of the far form
+        x = np.array([1.0, np.nextafter(1.0, 2.0)])
+        y = T._erf(x)
+        assert 0.0 <= y[1] - y[0] <= 4e-16
+
+    def test_threads_do_not_share_work_rows(self):
+        # each thread evaluates in its own float64 rows; shared rows would
+        # mix one thread's block into another's result
+        inputs = [np.random.default_rng(k).uniform(-4.0, 4.0, size=33000 + 500 * k) for k in range(4)]
+        expected = [T._erf(x) for x in inputs]
+        bad, done = [], []
+
+        def worker(k):
+            for _ in range(40):
+                if not np.array_equal(T._erf(inputs[k]), expected[k]):
+                    bad.append(k)
+            done.append(k)
+
+        prev = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(prev)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(done) == [0, 1, 2, 3] and bad == []
+
+    def test_blocks_and_shape_leave_values_alone(self):
+        # more elements, and more |x| > 1 elements, than one evaluation block
+        x = np.random.default_rng(2).uniform(-5.0, 5.0, size=(3, 121, 97))
+        y = T._erf(x)
+        assert y.shape == x.shape
+        pieces = np.array_split(x.reshape(-1), 9)               # each under one block
+        assert np.array_equal(y.reshape(-1), np.concatenate([T._erf(p) for p in pieces]))
 
 
 # ---------------------------------------------------------------------
