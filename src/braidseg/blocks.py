@@ -177,41 +177,30 @@ class Attention(Block):
         hd = c // h
         bsz, nq = q_in.shape[0], q_in.shape[1]
         nk = k_in.shape[1]
-        q = self._split(self.wq.forward(q_in), bsz, nq, h, hd)
-        k = self._split(self.wk.forward(k_in), bsz, nk, h, hd)
-        v = self._split(self.wv.forward(v_in), bsz, nk, h, hd)
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), hd ** -0.5)
+        split = (0, 2, 1, 3)                    # [B, N, h, hd] <-> [B, h, N, hd]
+        q = T.transpose(self.wq.forward(q_in), split, view=(bsz, nq, h, hd))
+        kt = T.transpose(self.wk.forward(k_in), (0, 2, 3, 1), view=(bsz, nk, h, hd))
+        v = T.transpose(self.wv.forward(v_in), split, view=(bsz, nk, h, hd))
+        scores = T.scale(T.matmul(q, kt), hd ** -0.5)
         attn = T.softmax(scores, axis=-1)
         out = T.matmul(attn, v)                                   # [B, h, Nq, hd]
-        out = T.reshape(T.transpose(out, (0, 2, 1, 3)), (bsz, nq, c))
-        return self.wo.forward(out)
-
-    @staticmethod
-    def _split(x, bsz, n, h, hd):
-        return T.transpose(T.reshape(x, (bsz, n, h, hd)), (0, 2, 1, 3))
+        return self.wo.forward(T.transpose(out, split, shape=(bsz, nq, c)))
 
 
-def window_partition(x, w):
+def window_partition(x, g, w):
     """[B, g*g, C] -> [B*(g/w)^2, w*w, C] non-overlapping windows."""
-    bsz, n, c = x.shape
-    g = int(round(np.sqrt(n)))
-    if g * g != n:
-        raise ValueError(f"window_partition: token count {n} is not square")
-    if g % w != 0:
-        raise ValueError(f"window_partition: window {w} does not divide grid {g}")
+    bsz, _, c = x.shape
     nw = g // w
-    x = T.reshape(x, (bsz, nw, w, nw, w, c))
-    x = T.transpose(x, (0, 1, 3, 2, 4, 5))
-    return T.reshape(x, (bsz * nw * nw, w * w, c))
+    return T.transpose(x, (0, 1, 3, 2, 4, 5), view=(bsz, nw, w, nw, w, c),
+                       shape=(bsz * nw * nw, w * w, c))
 
 
-def window_merge(x, w, g, bsz):
+def window_merge(x, g, w):
     """Inverse of window_partition."""
     nw = g // w
     c = x.shape[-1]
-    x = T.reshape(x, (bsz, nw, nw, w, w, c))
-    x = T.transpose(x, (0, 1, 3, 2, 4, 5))
-    return T.reshape(x, (bsz, g * g, c))
+    return T.transpose(x, (0, 1, 3, 2, 4, 5), view=(-1, nw, nw, w, w, c),
+                       shape=(-1, g * g, c))
 
 
 class TransformerBlock(Block):
@@ -226,11 +215,12 @@ class TransformerBlock(Block):
     reduces bitwise to the uninjected form.
     """
 
-    def __init__(self, c, heads, window=None):
+    def __init__(self, c, heads, grid, window=None):
         self.ln1 = LayerNorm(c)
         self.attn = Attention(c, heads)
         self.ln2 = LayerNorm(c)
         self.mlp = Mlp(c)
+        self._grid = grid        # tokens form a grid x grid map
         self._window = window    # None = global attention
 
     def forward(self, x, injected=None):
@@ -238,11 +228,8 @@ class TransformerBlock(Block):
         if self._window is None:
             a = self.attn.forward(h, h, h)
         else:
-            bsz, n = x.shape[0], x.shape[1]
-            g = int(round(np.sqrt(n)))
-            hw = window_partition(h, self._window)
-            aw = self.attn.forward(hw, hw, hw)
-            a = window_merge(aw, self._window, g, bsz)
+            hw = window_partition(h, self._grid, self._window)
+            a = window_merge(self.attn.forward(hw, hw, hw), self._grid, self._window)
         if injected is not None:
             a = T.add(a, injected)
         x = T.add(a, x)
@@ -305,7 +292,7 @@ class PatchEmbed(Block):
     """Non-overlapping 16x16 projection of a 1-channel image to tokens,
     plus a learned absolute positional table.
 
-    Implemented as reshape-patchify + matmul, which is exactly the
+    Implemented as a one-op patchify + matmul, which is exactly the
     stride-16 16x16 convolution on non-overlapping patches.
     """
 
@@ -324,9 +311,7 @@ class PatchEmbed(Block):
             raise ValueError(f"patch embed: need [B,1,H,W], got {x.shape}")
         if x.shape[2] != g * p or x.shape[3] != g * p:
             raise ValueError(f"patch embed: spatial {x.shape[2:]} != {(g * p, g * p)}")
-        bsz = x.shape[0]
-        x = T.reshape(x, (bsz, 1, g, p, g, p))
-        x = T.transpose(x, (0, 2, 4, 1, 3, 5))
-        x = T.reshape(x, (bsz, g * g, p * p))
+        x = T.transpose(x, (0, 1, 3, 2, 4), view=(x.shape[0], g, p, g, p),
+                        shape=(x.shape[0], g * g, p * p))
         tokens = T.add_bias(T.matmul(x, self.w), self.b)
         return T.add_bias(tokens, self.pos)

@@ -33,7 +33,7 @@ class PriorBranch(Block):
         m = cfg.m
         self.embed = PatchEmbed(cfg.C, cfg.grid)
         self.layers = [
-            TransformerBlock(cfg.C, cfg.heads,
+            TransformerBlock(cfg.C, cfg.heads, cfg.grid,
                              window=None if i in (m, 2 * m, 3 * m) else cfg.window)
             for i in range(1, 4 * m + 1)
         ]

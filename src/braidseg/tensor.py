@@ -658,15 +658,24 @@ def reshape(x, shape):
     return _make(x.data.reshape(shape), (x,), bwd)
 
 
-def transpose(x, axes):
+def transpose(x, axes, view=None, shape=None):
+    """Permute axes into one contiguous copy, as a single graph node.
+
+    x is first read as `view` (default: its own shape), `axes` permutes
+    that view, and the copy is read as `shape` (default: the permuted
+    shape). So reshape -> transpose -> reshape is one op; a view or shape
+    of the wrong size raises ValueError here.
+    """
     axes = tuple(int(a) for a in axes)
-    if sorted(axes) != list(range(x.ndim)):
-        raise ValueError(f"transpose: axes {axes} is not a permutation of 0..{x.ndim - 1}")
+    src = x.data if view is None else x.data.reshape(view)
+    if sorted(axes) != list(range(src.ndim)):
+        raise ValueError(f"transpose: axes {axes} is not a permutation of 0..{src.ndim - 1}")
+    moved = np.ascontiguousarray(src.transpose(axes))
 
     def bwd(g, seeds):
-        _flow(seeds, x, g.transpose(np.argsort(axes)))
+        _flow(seeds, x, g.reshape(moved.shape).transpose(np.argsort(axes)).reshape(x.shape))
 
-    return _make(np.ascontiguousarray(x.data.transpose(axes)), (x,), bwd)
+    return _make(moved if shape is None else moved.reshape(shape), (x,), bwd)
 
 
 def concat(parts, axis):
@@ -785,19 +794,12 @@ def bce_with_logits(z, t):
 # token <-> grid views
 # ---------------------------------------------------------------------
 
-def _grid_side(n):
-    g = int(round(np.sqrt(n)))
-    if g * g != n:
-        raise ValueError(f"token count {n} is not a perfect square")
-    return g
-
-
 def map_to_tokens(x):
     """[B,C,g,g] feature map -> [B,g*g,C] row-major token sequence."""
     if x.ndim != 4 or x.shape[2] != x.shape[3]:
         raise ValueError(f"map_to_tokens: need square [B,C,g,g], got {x.shape}")
     bsz, c, g, _ = x.shape
-    return reshape(transpose(x, (0, 2, 3, 1)), (bsz, g * g, c))
+    return transpose(x, (0, 2, 3, 1), shape=(bsz, g * g, c))
 
 
 def tokens_to_map(x):
@@ -805,5 +807,7 @@ def tokens_to_map(x):
     if x.ndim != 3:
         raise ValueError(f"tokens_to_map: need [B,N,C], got {x.shape}")
     bsz, n, c = x.shape
-    g = _grid_side(n)
-    return transpose(reshape(x, (bsz, g, g, c)), (0, 3, 1, 2))
+    g = math.isqrt(n)
+    if g * g != n:
+        raise ValueError(f"tokens_to_map: token count {n} is not a perfect square")
+    return transpose(x, (0, 3, 1, 2), view=(bsz, g, g, c))

@@ -20,6 +20,11 @@ from .tensor import Tensor
 
 _ORDER_TAG = 0x0D0E
 
+# augmentation draws: intensity scale and shift, and each flip's chance
+SCALE_RANGE = (0.9, 1.1)
+SHIFT_RANGE = (-0.1, 0.1)
+FLIP_PROB = 0.5
+
 
 class NumericError(RuntimeError):
     """Training diverged into non-finite territory."""
@@ -33,9 +38,6 @@ class TrainConfig:
     momentum: float = 0.99
     weight_decay: float = 1e-4
     seed: int = 0
-    scale_range: tuple = (0.9, 1.1)
-    shift_range: tuple = (-0.1, 0.1)
-    flip_prob: float = 0.5
     invert_prob: float = 0.0
     augment: bool = True
 
@@ -122,15 +124,15 @@ def augment(image, mask, rng, cfg):
     Every possible draw is taken on every call, in a fixed order, so the
     random stream consumed per sample does not depend on the outcomes.
     """
-    s = rng.uniform(*cfg.scale_range)
-    t = rng.uniform(*cfg.shift_range)
+    s = rng.uniform(*SCALE_RANGE)
+    t = rng.uniform(*SHIFT_RANGE)
     img = np.clip(image * s + t, 0.0, 1.0).astype(np.float32)
     msk = mask
     if rng.uniform() < cfg.invert_prob:
         img = (1.0 - img).astype(np.float32)
-    if rng.uniform() < cfg.flip_prob:
+    if rng.uniform() < FLIP_PROB:
         img, msk = img[:, ::-1], msk[:, ::-1]
-    if rng.uniform() < cfg.flip_prob:
+    if rng.uniform() < FLIP_PROB:
         img, msk = img[::-1, :], msk[::-1, :]
     return np.ascontiguousarray(img), np.ascontiguousarray(msk)
 

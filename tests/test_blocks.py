@@ -186,34 +186,34 @@ class TestWindows:
         rng = np.random.default_rng(seed)
         g, w, c = 8, 4, 6
         x = Tensor(rand(rng, 2, g * g, c))
-        parts = window_partition(x, w)
+        parts = window_partition(x, g, w)
         assert parts.shape == ((g // w) ** 2 * 2, w * w, c)
-        back = window_merge(parts, w, g, 2)
+        back = window_merge(parts, g, w)
         assert np.array_equal(back.data, x.data)
 
     def test_windows_are_spatially_contiguous(self):
         """Window 0 of a 4x4 grid with w=2 must hold tokens {0, 1, 4, 5}."""
         tok = np.arange(16, dtype=np.float32).reshape(1, 16, 1)
-        parts = window_partition(Tensor(tok), 2).data
+        parts = window_partition(Tensor(tok), 4, 2).data
         assert parts[0, :, 0].tolist() == [0.0, 1.0, 4.0, 5.0]
 
     def test_window_must_divide_grid(self):
         x = Tensor(np.zeros((1, 36, 4), dtype=np.float32))
         with pytest.raises(ValueError):
-            window_partition(x, 4)
+            window_partition(x, 6, 4)
 
 
 class TestTransformerBlock:
     def test_windowed_and_global_output_shapes(self):
         for window in (2, None):
-            blk = TransformerBlock(8, heads=2, window=window)
+            blk = TransformerBlock(8, heads=2, grid=4, window=window)
             init_params(blk, seed=0)
             x = Tensor(np.random.default_rng(0).random((2, 16, 8)).astype(np.float32))
             assert blk.forward(x).shape == (2, 16, 8)
 
     def test_injection_changes_output(self):
         """An injected tensor changes the output; a zero one changes no bit."""
-        blk = TransformerBlock(8, heads=2, window=None)
+        blk = TransformerBlock(8, heads=2, grid=4, window=None)
         init_params(blk, seed=0)
         rng = np.random.default_rng(1)
         x = Tensor(rng.random((1, 16, 8)).astype(np.float32))

@@ -1,4 +1,5 @@
-"""Encoder branch behavior: per-layer execution, injections, grids."""
+"""Encoder branch behavior: per-layer execution, injections, grids, and the
+shape of the graph a training step records."""
 
 from dataclasses import replace
 
@@ -10,7 +11,8 @@ from braidseg.domain import N_LAYERS, DomainBranch
 from braidseg.fusion import final_fuse
 from braidseg.model import ModelConfig, build_model
 from braidseg.prior import PriorBranch
-from braidseg.tensor import Tensor
+from braidseg.tensor import Tensor, _topo_order
+from braidseg.train import seg_loss
 
 TINY = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32, window=2,
                    rfin_count=2, dkin_count=2)
@@ -150,3 +152,25 @@ class TestDomainBranch:
         with pytest.raises(ValueError):
             ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=64,
                         window=2, rfin_count=0, dkin_count=0).validate()
+
+
+class TestRecordedGraph:
+    def test_each_token_move_is_one_node(self):
+        """A default-config batch-2 forward pass plus loss records at most
+        640 ops, and no reshape or transpose feeds another: each move
+        between the sequence, head and window layouts is one node."""
+        cfg = ModelConfig()
+        net = build_model(cfg, seed=0)
+        rng = np.random.default_rng(0)
+        xc = rng.random((2, 1, cfg.x_c, cfg.x_c), dtype=np.float32)
+        xs = rng.random((2, 1, cfg.x_s, cfg.x_s), dtype=np.float32)
+        target = (rng.random(xc.shape) > 0.5).astype(np.float32)
+        ops = [n for n in _topo_order(seg_loss(net.forward(xc, xs), target))
+               if n._backward is not None]
+
+        def moves(n):
+            return n._backward is not None and n._backward.__qualname__ in (
+                "reshape.<locals>.bwd", "transpose.<locals>.bwd")
+
+        assert [n.shape for n in ops if moves(n) and any(moves(p) for p in n._parents)] == []
+        assert len(ops) <= 640

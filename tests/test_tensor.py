@@ -287,6 +287,21 @@ class TestForward:
         back = T.map_to_tokens(T.tokens_to_map(x))
         assert np.array_equal(back.data, x.data)
 
+    def test_transpose_reads_a_view_and_returns_a_shape(self):
+        x = np.arange(24.0).reshape(2, 3, 4)
+        out = T.transpose(T.Tensor(x), (0, 2, 1, 3), view=(2, 3, 2, 2), shape=(2, 6, 2)).data
+        assert np.array_equal(out, x.reshape(2, 3, 2, 2).transpose(0, 2, 1, 3).reshape(2, 6, 2))
+        assert out.flags.c_contiguous
+
+    def test_transpose_checks_axes_and_sizes_at_call_time(self):
+        x = T.Tensor(np.zeros((2, 3, 4)), requires_grad=True)
+        with pytest.raises(ValueError, match="permutation"):
+            T.transpose(x, (0, 2, 1), view=(6, 4))       # a permutation of x's axes, not the view's
+        with pytest.raises(ValueError):
+            T.transpose(x, (1, 0), view=(5, 5))          # view of the wrong size
+        with pytest.raises(ValueError):
+            T.transpose(x, (1, 0, 2), shape=(5, 5))      # shape of the wrong size
+
     def test_tokens_to_map_requires_square(self):
         with pytest.raises(ValueError, match="square"):
             T.tokens_to_map(T.Tensor(np.zeros((1, 15, 4), dtype=np.float32)))
@@ -642,6 +657,10 @@ class TestFiniteDifferences:
         x = rand(2, 3, 4, seed=38)
         assert check_op(lambda t: T.reshape(t, (6, 4)), (x,), 0) < LIN_TOL
         assert check_op(lambda t: T.transpose(t, (2, 0, 1)), (x,), 0) < LIN_TOL
+        assert check_op(lambda t: T.transpose(t, (1, 0, 2), view=(3, 2, 4)), (x,), 0) < LIN_TOL
+        assert check_op(lambda t: T.transpose(t, (2, 0, 1), shape=(4, 6)), (x,), 0) < LIN_TOL
+        assert check_op(lambda t: T.transpose(t, (0, 2, 1, 3), view=(2, 3, 2, 2),
+                                              shape=(2, 6, 2)), (x,), 0) < LIN_TOL
         y = rand(2, 2, 4, seed=39)
         assert check_op(lambda a, b: T.concat([a, b], 1), (x, y), 0) < LIN_TOL
         assert check_op(lambda a, b: T.concat([a, b], 1), (x, y), 1) < LIN_TOL

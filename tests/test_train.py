@@ -13,6 +13,9 @@ from braidseg.tensor import Tensor, bce_with_logits, sigmoid_np
 from braidseg.train import (NumericError, SgdState, TrainConfig, augment,
                             poly_lr, seg_loss, sgd_step, soft_dice, train)
 
+# braidseg.train is re-exported as the function; fetch the module
+train_mod = importlib.import_module("braidseg.train")
+
 TINY = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32,
                    window=2, rfin_count=2, dkin_count=2)
 
@@ -185,36 +188,41 @@ class TestAugment:
         assert out_m.sum() == msk.sum()
         assert 0.0 <= out_i.min() and out_i.max() <= 1.0
 
-    def test_draw_count_is_outcome_independent(self):
+    @staticmethod
+    def _fix_intensity(monkeypatch):
+        monkeypatch.setattr(train_mod, "SCALE_RANGE", (1.0, 1.0))
+        monkeypatch.setattr(train_mod, "SHIFT_RANGE", (0.0, 0.0))
+
+    def test_draw_count_is_outcome_independent(self, monkeypatch):
         """Both extremes of every probability consume the same stream."""
         img, msk = self._pair()
-        hot = TrainConfig(invert_prob=1.0, flip_prob=1.0)
-        cold = TrainConfig(invert_prob=0.0, flip_prob=0.0)
         r1, r2 = np.random.default_rng(7), np.random.default_rng(7)
-        augment(img, msk, r1, hot)
-        augment(img, msk, r2, cold)
+        monkeypatch.setattr(train_mod, "FLIP_PROB", 1.0)
+        augment(img, msk, r1, TrainConfig(invert_prob=1.0))
+        monkeypatch.setattr(train_mod, "FLIP_PROB", 0.0)
+        augment(img, msk, r2, TrainConfig(invert_prob=0.0))
         assert r1.bit_generator.state == r2.bit_generator.state
 
-    def test_inversion_is_exact_without_scale_or_shift(self):
+    def test_inversion_is_exact_without_scale_or_shift(self, monkeypatch):
         img, msk = self._pair()
-        cfg = TrainConfig(scale_range=(1.0, 1.0), shift_range=(0.0, 0.0),
-                          flip_prob=0.0, invert_prob=1.0)
-        out_i, out_m = augment(img, msk, np.random.default_rng(0), cfg)
+        self._fix_intensity(monkeypatch)
+        monkeypatch.setattr(train_mod, "FLIP_PROB", 0.0)
+        out_i, out_m = augment(img, msk, np.random.default_rng(0), TrainConfig(invert_prob=1.0))
         assert np.allclose(out_i, 1.0 - img, atol=1e-7)
         assert np.array_equal(out_m, msk)
 
-    def test_forced_flips_mirror_both_arrays(self):
+    def test_forced_flips_mirror_both_arrays(self, monkeypatch):
         img, msk = self._pair()
-        cfg = TrainConfig(scale_range=(1.0, 1.0), shift_range=(0.0, 0.0),
-                          flip_prob=1.0, invert_prob=0.0)
-        out_i, out_m = augment(img, msk, np.random.default_rng(0), cfg)
+        self._fix_intensity(monkeypatch)
+        monkeypatch.setattr(train_mod, "FLIP_PROB", 1.0)
+        out_i, out_m = augment(img, msk, np.random.default_rng(0), TrainConfig(invert_prob=0.0))
         assert np.array_equal(out_i, img[::-1, ::-1])
         assert np.array_equal(out_m, msk[::-1, ::-1])
 
-    def test_flips_track_each_other(self):
+    def test_flips_track_each_other(self, monkeypatch):
         img, msk = self._pair(3)
-        cfg = TrainConfig(invert_prob=0.0, scale_range=(1.0, 1.0),
-                          shift_range=(0.0, 0.0))
+        self._fix_intensity(monkeypatch)
+        cfg = TrainConfig(invert_prob=0.0)
         for seed in range(8):
             out_i, out_m = augment(img, msk, np.random.default_rng(seed), cfg)
             src = np.argwhere(msk == 1.0)
@@ -291,8 +299,6 @@ class TestTrainLoop:
                                                                 monkeypatch):
         """The loss of the last iteration is finite, but its gradient is
         poisoned; train() must refuse to write the NaN parameters."""
-        # braidseg.train is re-exported as the function; fetch the module
-        train_mod = importlib.import_module("braidseg.train")
         real_step = train_mod.sgd_step
         cfg = self._cfg(epochs=3)
         calls = []
