@@ -5,13 +5,12 @@ methods are pure functions of (parameters, inputs). named_params() walks
 the attribute tree in insertion order, producing the stable dotted names
 used by checkpoints, the optimizer and the gradient checker.
 
-Initialization is two-phase: construction allocates float32 zero
-parameter buffers tagged with an init kind; init_params() then fills each
-tensor from an RNG seeded by (global seed, name hash). Values therefore do
-not depend on construction order, so two models sharing a parameter name
-and seed hold bit-identical values even when one omits whole submodules.
-A model of another precision is cast (cast_block) between the two phases,
-so its values are drawn at that precision, not rounded from float32.
+Construction allocates float32 zero buffers tagged with an init kind.
+init_params() sets them all in one pass at the requested precision, so a
+float64 model is drawn at float64; each drawn tensor has its own RNG,
+seeded by (global seed, name hash), so two models sharing a parameter name
+and seed hold the same bits even when one omits whole submodules.
+cast_block re-casts a built model.
 """
 
 from __future__ import annotations
@@ -61,31 +60,35 @@ def stable_hash(name):
     return zlib.crc32(name.encode("utf-8"))
 
 
-def init_params(block, seed):
-    """Fill every parameter from its tagged rule, RNG keyed by (seed, name)."""
+def init_params(block, seed, dtype=None):
+    """Set every parameter by its tagged rule, at `dtype` (default: its own)."""
     for name, p in block.named_params():
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), stable_hash(name)]))
+        dt = p.dtype if dtype is None else dtype
         kind, _, arg = (p.init_kind or "zeros").partition(":")
         if kind == "zeros":
-            continue
+            if p.dtype == dt:
+                continue
+            p.data = np.zeros(p.shape, dt)
         elif kind == "ones":
-            p.data = np.ones_like(p.data)
-        elif kind == "trunc_normal":
-            p.data = _trunc_normal(rng, p.shape, 0.02).astype(p.dtype)
-        elif kind == "he":
-            fan = int(arg) if arg else int(np.prod(p.shape[1:]))
-            p.data = rng.normal(0.0, np.sqrt(2.0 / fan), size=p.shape).astype(p.dtype)
+            p.data = np.ones(p.shape, dt)
+        elif kind in ("trunc_normal", "he"):        # he's arg is the fan-in
+            rng = np.random.default_rng([int(seed), stable_hash(name)])
+            v = (_trunc_normal(rng, p.shape, 0.02) if kind == "trunc_normal"
+                 else rng.normal(0.0, np.sqrt(2.0 / int(arg)), size=p.shape))
+            p.data = v.astype(dt, copy=False)
         else:
             raise ValueError(f"unknown init kind {p.init_kind!r} on {name}")
         p.zero_grad()
 
 
 def _trunc_normal(rng, shape, std):
+    """N(0, std), redrawing only the entries beyond 2 std, in flat order."""
     v = rng.normal(0.0, std, size=shape)
-    bad = np.abs(v) > 2 * std
-    while bad.any():
-        v[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(v) > 2 * std
+    bad = (np.abs(v) > 2 * std).ravel().nonzero()[0]
+    while bad.size:
+        redraw = rng.normal(0.0, std, size=bad.size)
+        v.put(bad, redraw)
+        bad = bad[np.abs(redraw) > 2 * std]
     return v
 
 

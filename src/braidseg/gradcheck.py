@@ -61,7 +61,7 @@ def check_model(cfg, seed=0, h=1e-5, tol=1e-4, log=None):
     from .model import build_model
     from .train import seg_loss
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     model = build_model(cfg, seed=seed, dtype=np.float64)
     for name, p in model.named_params():
         if (p.init_kind or "zeros").partition(":")[0] == "zeros":
@@ -162,7 +162,7 @@ def check_model(cfg, seed=0, h=1e-5, tol=1e-4, log=None):
             retry = "" if err_at_h is None else f" (h/8; at h {err_at_h:.3e})"
             log(f"{status:4s} {name:60s} n={p.size:<8d} dir={err_dir:.3e} "
                 f"probe={err_probe:.3e}{retry}")
-    return rows, max_err, time.time() - t0
+    return rows, max_err, time.perf_counter() - t0
 
 
 def _finite_or_inf(err):

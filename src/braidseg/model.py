@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .blocks import Block, PatchEmbed, cast_block, init_params
+from .blocks import Block, PatchEmbed, init_params
 from .decoder import MaskDecoder, PromptEncoder
 from .domain import DomainBranch
 from .fusion import (ApplyDkin, ApplyRfin, DkinModule, RfinModule, RunDomain,
@@ -192,14 +192,11 @@ class BraidNet(Block):
 
 
 def build_model(cfg, seed=0, dtype=np.float32):
-    """Construct and initialize a BraidNet at the given precision.
-
-    The zero buffers are cast before init_params fills them, so float64
-    values are drawn at float64. Parameter values depend only on (seed,
-    parameter name), never on which submodules exist, so e.g. an
-    (r=0, d=0) model shares bits with the corresponding parameters of a
-    fully coupled one.
+    """Construct a BraidNet and draw its parameters at `dtype` in one pass
+    (init_params); cast_block re-casts a built model. Values depend only on
+    (seed, parameter name), so an (r=0, d=0) model shares the bits of every
+    parameter it has with a fully coupled one.
     """
-    net = cast_block(BraidNet(cfg), dtype)
-    init_params(net, seed)
+    net = BraidNet(cfg)
+    init_params(net, seed, dtype)
     return net

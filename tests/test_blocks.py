@@ -1,5 +1,7 @@
 """Layer-level checks: shapes, parameter bookkeeping, reference math."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,10 @@ from braidseg import tensor as T
 from braidseg.tensor import Tensor
 from braidseg.blocks import (Attention, Block, Conv, InstanceNorm, LayerNorm,
                              Linear, Mlp, PatchEmbed, ResidualSeBlock,
-                             TransformerBlock, cast_block, init_params, param,
-                             stable_hash, window_merge, window_partition)
+                             TransformerBlock, _trunc_normal, cast_block,
+                             init_params, param, stable_hash, window_merge,
+                             window_partition)
+from braidseg.model import BraidNet, ModelConfig, build_model
 
 
 def rand(rng, *shape, dtype=np.float32):
@@ -290,3 +294,75 @@ class TestMlp:
         assert names["fc2.w"].shape == (32, 8)
         x = Tensor(np.zeros((2, 5, 8), dtype=np.float32))
         assert mlp.forward(x).shape == (2, 5, 8)
+
+
+def rescan_trunc_normal(rng, shape, std):
+    """Reference: redraw every entry beyond 2 std, rescanning the whole array
+    after each round."""
+    v = rng.normal(0.0, std, size=shape)
+    bad = np.abs(v) > 2 * std
+    while bad.any():
+        v[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+        bad = np.abs(v) > 2 * std
+    return v
+
+
+def two_phase_build(cfg, seed, dtype):
+    """Reference build: float32 zeros, cast_block to `dtype`, then an RNG
+    per tensor, drawn or not, and the rescanning truncated normal."""
+    net = cast_block(BraidNet(cfg), dtype)
+    for name, p in net.named_params():
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), stable_hash(name)]))
+        kind, _, arg = p.init_kind.partition(":")
+        if kind == "ones":
+            p.data = np.ones_like(p.data)
+        elif kind == "trunc_normal":
+            p.data = rescan_trunc_normal(rng, p.shape, 0.02).astype(p.dtype)
+        elif kind == "he":
+            p.data = rng.normal(0.0, np.sqrt(2.0 / int(arg)), size=p.shape).astype(p.dtype)
+    return net
+
+
+class CountingRng:
+    """Passes normal() through to a Generator and counts the calls."""
+
+    def __init__(self, seed):
+        self.rng, self.calls = np.random.default_rng(seed), 0
+
+    def normal(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.normal(*args, **kwargs)
+
+
+AUDIT_SIZED = ModelConfig(m=3, C=12, C_c=8, C_d=8, heads=3, x_c=16, x_s=64, window=2)
+
+
+class TestOnePassBuild:
+    """build_model draws every parameter at its final precision in one pass,
+    bit for bit as the two-phase reference does."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("couplers", [(3, 3), (0, 0)])
+    @pytest.mark.parametrize("cfg, dtype", [(ModelConfig(), np.float32),
+                                            (AUDIT_SIZED, np.float32),
+                                            (AUDIT_SIZED, np.float64)],
+                             ids=["default-f32", "audit-f32", "audit-f64"])
+    def test_matches_the_two_phase_build(self, cfg, dtype, couplers, seed):
+        cfg = replace(cfg, rfin_count=couplers[0], dkin_count=couplers[1])
+        got = build_model(cfg, seed=seed, dtype=dtype).named_params()
+        want = two_phase_build(cfg, seed, dtype).named_params()
+        assert [n for n, _ in got] == [n for n, _ in want]
+        for (name, g), (_, w) in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape), name
+            assert g.data.tobytes() == w.data.tobytes(), name
+
+    @pytest.mark.parametrize("shape, seeds", [((400, 500), [0]), ((1,), range(60))])
+    def test_trunc_normal_redraws_as_the_full_rescan(self, shape, seeds):
+        rounds = 0
+        for seed in seeds:
+            rng = CountingRng(seed)
+            got = _trunc_normal(rng, shape, 0.02)
+            want = rescan_trunc_normal(np.random.default_rng(seed), shape, 0.02)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            rounds = max(rounds, rng.calls - 1)
+        assert rounds >= (3 if shape[0] > 1 else 1)      # the redraw path ran

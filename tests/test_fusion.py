@@ -469,6 +469,18 @@ class TestPrecision:
     CFG = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32,
                       window=2, rfin_count=2, dkin_count=2)
 
+    def test_a_float64_model_is_drawn_at_float64(self):
+        """Not rounded from float32: every drawn kind holds values that a
+        float32 round trip moves, and no gradient buffer of another dtype."""
+        params = build_model(self.CFG, seed=0, dtype=np.float64).named_params()
+        for _, p in params:
+            assert p.dtype == np.float64
+            assert p._grad is None or p._grad.dtype == np.float64
+        for kind in ("trunc_normal", "he"):
+            drawn = np.concatenate([p.data.ravel() for _, p in params
+                                    if p.init_kind.partition(":")[0] == kind])
+            assert np.any(drawn.astype(np.float32).astype(np.float64) != drawn)
+
     def test_a_cast_model_runs_at_the_precision_cast_to(self):
         """The inputs follow the parameters' dtype after a cast_block,
         and a float32 -> float64 -> float32 round trip moves no bit."""
