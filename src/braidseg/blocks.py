@@ -61,7 +61,17 @@ def stable_hash(name):
 
 
 def init_params(block, seed, dtype=None):
-    """Set every parameter by its tagged rule, at `dtype` (default: its own)."""
+    """Set every parameter by its tagged rule, at `dtype` (default: its own).
+
+    A drawn tensor's generator is seeded with the words SeedSequence makes
+    of [seed, stable_hash(name)], the seed's little-endian 32-bit words
+    then the hash, handed over as one uint32 array, which it reads faster
+    than the list.
+    """
+    seed = int(seed)
+    if seed < 0:
+        raise ValueError(f"init_params: seed must be non-negative, got {seed}")
+    words = [(seed >> s) & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
     for name, p in block.named_params():
         dt = p.dtype if dtype is None else dtype
         kind, _, arg = (p.init_kind or "zeros").partition(":")
@@ -72,7 +82,7 @@ def init_params(block, seed, dtype=None):
         elif kind == "ones":
             p.data = np.ones(p.shape, dt)
         elif kind in ("trunc_normal", "he"):        # he's arg is the fan-in
-            rng = np.random.default_rng([int(seed), stable_hash(name)])
+            rng = np.random.default_rng(np.array([*words, stable_hash(name)], np.uint32))
             v = (_trunc_normal(rng, p.shape, 0.02) if kind == "trunc_normal"
                  else rng.normal(0.0, np.sqrt(2.0 / int(arg)), size=p.shape))
             p.data = v.astype(dt, copy=False)

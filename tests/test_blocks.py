@@ -341,7 +341,7 @@ class TestOnePassBuild:
     """build_model draws every parameter at its final precision in one pass,
     bit for bit as the two-phase reference does."""
 
-    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 3, 2**40])
     @pytest.mark.parametrize("couplers", [(3, 3), (0, 0)])
     @pytest.mark.parametrize("cfg, dtype", [(ModelConfig(), np.float32),
                                             (AUDIT_SIZED, np.float32),
@@ -355,6 +355,10 @@ class TestOnePassBuild:
         for (name, g), (_, w) in zip(got, want):
             assert (g.dtype, g.shape) == (w.dtype, w.shape), name
             assert g.data.tobytes() == w.data.tobytes(), name
+
+    def test_a_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            build_model(AUDIT_SIZED, seed=-1)
 
     @pytest.mark.parametrize("shape, seeds", [((400, 500), [0]), ((1,), range(60))])
     def test_trunc_normal_redraws_as_the_full_rescan(self, shape, seeds):

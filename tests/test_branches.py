@@ -13,6 +13,7 @@ from braidseg.model import ModelConfig, build_model
 from braidseg.prior import PriorBranch
 from braidseg.tensor import Tensor, _topo_order
 from braidseg.train import seg_loss
+from graphmem import live_graph_mib
 
 TINY = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32, window=2,
                    rfin_count=2, dkin_count=2)
@@ -174,3 +175,10 @@ class TestRecordedGraph:
 
         assert [n.shape for n in ops if moves(n) and any(moves(p) for p in n._parents)] == []
         assert len(ops) <= 640
+
+    def test_the_live_graph_stays_under_21_mib(self):
+        """A default-config batch-2 forward pass plus loss keeps 36.25 MiB
+        alive (tracemalloc) when every result holds its parents, and
+        19.72 MiB when the graph holds only nodes and the arrays its rules
+        read."""
+        assert live_graph_mib(ModelConfig(), batch=2) < 21.0

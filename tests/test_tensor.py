@@ -8,6 +8,7 @@ away from activation kinks so the numeric side is well defined.
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -544,6 +545,71 @@ class TestNoGrad:
             bare = model.forward(xc, xs)
         assert made and all(t._parents == () and t._backward is None for t in made)
         assert bare.dtype == dtype and np.array_equal(bare.data, recorded.data)
+
+
+class TestWhatTheGraphKeeps:
+    """A recorded op keeps its node and the arrays its rule reads; an
+    intermediate tensor and its array die when the forward code drops it."""
+
+    @staticmethod
+    def linear_inputs():
+        rng = np.random.default_rng(0)
+        x = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+        w = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        b = T.Tensor(rng.normal(size=5), requires_grad=True)
+        return x, w, b
+
+    def test_a_matmul_output_feeding_add_bias_is_freed(self):
+        x, w, b = self.linear_inputs()
+        h = T.matmul(x, w)
+        alive = weakref.ref(h.data)
+        y = T.add_bias(h, b)          # add_bias reads no array in backward
+        del h
+        assert alive() is None
+        T.tensor_sum(y).backward()
+        assert np.array_equal(b.grad, np.full(5, 6.0))
+
+    def test_add_bias_feeding_gelu_keeps_the_gelu_input(self):
+        x, w, b = self.linear_inputs()
+        h = T.add_bias(T.matmul(x, w), b)
+        alive = weakref.ref(h.data)
+        y = T.gelu(h)                 # gelu's rule reads its input
+        del h
+        assert alive() is not None
+        del y
+        assert alive() is None        # and lets go of it with the graph
+
+    def test_no_rule_closes_over_a_recorded_tensor(self):
+        from braidseg.model import ModelConfig, build_model
+        from braidseg.train import seg_loss
+        cfg = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32,
+                          window=2, rfin_count=2, dkin_count=2)
+        model = build_model(cfg, seed=3)
+        rng = np.random.default_rng(5)
+        xc = rng.uniform(size=(2, 1, 8, 8)).astype(np.float32)
+        xs = rng.uniform(size=(2, 1, 32, 32)).astype(np.float32)
+        loss = seg_loss(model.forward(xc, xs), (xc > 0.5).astype(np.float32))
+        held = []
+        for node in T._topo_order(loss):
+            for cell in getattr(node._backward, "__closure__", None) or ():
+                val = cell.cell_contents
+                for v in val if isinstance(val, (list, tuple)) else (val,):
+                    if isinstance(v, T.Tensor) and v._node is not None:
+                        held.append(node._backward.__qualname__)
+        assert held == []
+
+    def test_no_grad_leaves_the_operands_alone(self, monkeypatch):
+        seen, real_make = [], T._make
+
+        def spy(data, parents, backward):
+            seen.extend(parents)
+            return real_make(data, parents, backward)
+
+        monkeypatch.setattr(T, "_make", spy)
+        x, w, b = self.linear_inputs()
+        with T.no_grad():
+            T.gelu(T.add_bias(T.matmul(x, w), b))
+        assert len(seen) == 5 and all(isinstance(p, T.Tensor) for p in seen)
 
 
 class TestNormReference:
