@@ -153,7 +153,7 @@ def _cmd_train(args):
     cfg = _load_config(args.config)
     tcfg = TrainConfig(epochs=args.epochs, batch=args.batch, lr0=args.lr,
                        momentum=args.momentum, weight_decay=args.weight_decay,
-                       seed=args.seed, invert_prob=args.invert_aug)
+                       seed=args.seed, invert_prob=args.invert_aug).validate()
     samples = select(load_manifest(args.data), split="train", domain=args.domain)
     if not samples:
         raise DataError(f"no training samples in {args.data}"

@@ -305,6 +305,9 @@ def generate_dataset(out_dir, seed, n_train, n_val, n_test, size=64,
             raise DataError(f"unknown domain {d!r} (have {DOMAINS})")
     if not domains or len(set(domains)) != len(domains):
         raise DataError(f"domain list must be non-empty and without repeats, got {list(domains)}")
+    for split, n in (("train", n_train), ("val", n_val), ("test", n_test)):
+        if n < 0:
+            raise DataError(f"{split} sample count must be >= 0, got {n}")
     os.makedirs(os.path.join(out_dir, "images"), exist_ok=True)
     os.makedirs(os.path.join(out_dir, "masks"), exist_ok=True)
 

@@ -2,19 +2,24 @@
 
 Every value in the network is a Tensor wrapping a row-major numpy array,
 float32 for training and float64 for gradient checking. Operations are
-module-level functions that compute the forward result eagerly and give
-it a graph node: the nodes of the operands that need a gradient, and the
-backward rule, a closure over those nodes and the arrays the rule reads.
-Those are the inputs of mul, div, matmul, gelu, scale_channels and
-bce_with_logits, the output of sigmoid and softmax, the normalised input
-and inverse deviation of the norms, and a conv's column matrix. A leaf
-that requires grad is its own node, and the graph holds no other Tensor:
-an intermediate result and its array are freed as soon as the forward
-code drops them, unless a rule reads the array. A default-config batch-2
-forward pass plus loss keeps 19.7 MiB live (tracemalloc), against
-36.3 MiB when every result held its parents. Tensor.backward()
-walks the nodes once in reverse topological order and accumulates
-gradients by summation at every use site.
+module-level functions that compute the forward result eagerly and hand
+it to _make with their operand tensors and a gradient function
+grads(g, need): given the gradient g of the result, it returns one
+gradient per operand, and may return None for operand i where need[i]
+is false (only matmul and conv2d skip work that way). grads closes over
+the arrays it reads and nothing else: the inputs of mul, div, matmul,
+gelu, scale_channels and bce_with_logits, the output of sigmoid and
+softmax, the normalised input and inverse deviation of the norms, and a
+conv's column matrix. _make alone touches the graph: it gives the
+result a node holding its operands' nodes and a rule that calls grads
+and flows each gradient into its node. A leaf that requires grad is its
+own node, and the graph holds no other Tensor: an intermediate result
+and its array are freed as soon as the forward code drops them, unless
+a gradient function reads the array. A default-config batch-2 forward
+pass plus loss keeps 19.8 MiB live (tracemalloc), against 36.3 MiB when
+every result held its parents. Tensor.backward() walks the nodes once
+in reverse topological order and accumulates gradients by summation at
+every use site.
 
 Shape discipline: binary elementwise ops require identical shapes and
 dtypes. There is no implicit broadcasting. The only shape-expanding
@@ -30,10 +35,10 @@ a recorded pass.
 
 Concurrency: a graph is built and differentiated on one thread;
 independent graphs on independent tensors are safe in parallel. The
-no_grad flag and gelu's erf work rows are per thread. A rule reads the
-arrays its forward saw, so nothing may change them in place before
-backward; the optimizer mutates parameter .data in place only between
-graphs.
+no_grad flag and gelu's erf work rows are per thread. A gradient
+function reads the arrays its forward saw, so nothing may change them in
+place before backward; the optimizer mutates parameter .data in place
+only between graphs.
 """
 
 from __future__ import annotations
@@ -71,7 +76,8 @@ class Tensor:
     Non-leaves read .grad as None: their flows live in backward's seeds.
 
     A recorded result points at its graph node (_node); _parents and
-    _backward read and write that node, and read () and None on a leaf.
+    _backward read that node, and read () and None on a leaf. _backward
+    may be reassigned on a recorded result, to wrap its rule.
     """
 
     __slots__ = ("data", "requires_grad", "_grad", "init_kind", "_node")
@@ -114,20 +120,12 @@ class Tensor:
     def _parents(self):
         return () if self._node is None else self._node._parents
 
-    @_parents.setter
-    def _parents(self, parents):
-        if self._node is None:
-            self._node = _Node((), None)
-        self._node._parents = tuple(n for n in map(_node_of, parents) if n is not None)
-
     @property
     def _backward(self):
         return None if self._node is None else self._node._backward
 
     @_backward.setter
     def _backward(self, rule):
-        if self._node is None:
-            self._node = _Node((), None)
         self._node._backward = rule
 
     @property
@@ -181,7 +179,8 @@ class Tensor:
 
 
 class _Node:
-    """One recorded op: the nodes its gradient flows into, and its rule."""
+    """One recorded op: its operands' nodes (None for one that needs no
+    gradient), and its rule (g, seeds), which flows g into them."""
 
     __slots__ = ("_parents", "_backward")
 
@@ -212,7 +211,7 @@ def _topo_order(root):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p is not None and id(p) not in seen:
                 stack.append((p, False))
     return order
 
@@ -244,22 +243,29 @@ def no_grad():
         _grad_mode.recording = prev
 
 
-def _make(data, parents, backward):
+def _make(data, operands, grads):
     """Wrap data in a new tensor and record its node.
 
-    parents is the list of operand tensors that backward closes over.
-    Recording replaces each entry in place by the operand's node (None for
-    one that needs no gradient), so the rule holds nodes, never a tensor or
-    its array. Inside no_grad(), or when no operand needs a gradient,
-    nothing is recorded and the list is left alone.
+    operands are the op's input tensors, and grads(g, need) returns one
+    gradient per operand for the gradient g of the result; it may return
+    None for operand i where need[i] is false. need is the tuple of the
+    operands' nodes, None for one that needs no gradient. The node's rule
+    calls grads and flows each gradient into its operand's node, so grads
+    holds arrays only, never a tensor or a node. Inside no_grad(), or when
+    no operand needs a gradient, nothing is recorded.
     """
     out = Tensor(data)
     if _grad_mode.recording:
-        parents[:] = map(_node_of, parents)
-        edges = tuple(p for p in parents if p is not None)
-        if edges:
+        nodes = tuple(map(_node_of, operands))
+        if any(nodes):
+
+            def rule(g, seeds):
+                for node, d in zip(nodes, grads(g, nodes)):
+                    if node is not None:
+                        _flow(seeds, node, d)
+
             out.requires_grad = True
-            out._node = _Node(edges, backward)
+            out._node = _Node(nodes, rule)
     return out
 
 
@@ -278,69 +284,30 @@ def _check_binary(name, a, b):
 
 def add(a, b):
     _check_binary("add", a, b)
-    parents = [a, b]
-
-    def bwd(g, seeds):
-        na, nb = parents
-        if na is not None:
-            _flow(seeds, na, g)
-        if nb is not None:
-            _flow(seeds, nb, g)
-
-    return _make(a.data + b.data, parents, bwd)
+    return _make(a.data + b.data, (a, b), lambda g, need: (g, g))
 
 
 def sub(a, b):
     _check_binary("sub", a, b)
-    parents = [a, b]
-
-    def bwd(g, seeds):
-        na, nb = parents
-        if na is not None:
-            _flow(seeds, na, g)
-        if nb is not None:
-            _flow(seeds, nb, -g)
-
-    return _make(a.data - b.data, parents, bwd)
+    return _make(a.data - b.data, (a, b), lambda g, need: (g, -g))
 
 
 def mul(a, b):
     _check_binary("mul", a, b)
-    ad, bd, parents = a.data, b.data, [a, b]
-
-    def bwd(g, seeds):
-        na, nb = parents
-        if na is not None:
-            _flow(seeds, na, g * bd)
-        if nb is not None:
-            _flow(seeds, nb, g * ad)
-
-    return _make(ad * bd, parents, bwd)
+    ad, bd = a.data, b.data
+    return _make(ad * bd, (a, b), lambda g, need: (g * bd, g * ad))
 
 
 def div(a, b):
     _check_binary("div", a, b)
-    ad, bd, parents = a.data, b.data, [a, b]
-
-    def bwd(g, seeds):
-        na, nb = parents
-        if na is not None:
-            _flow(seeds, na, g / bd)
-        if nb is not None:
-            _flow(seeds, nb, -g * ad / (bd * bd))
-
-    return _make(ad / bd, parents, bwd)
+    ad, bd = a.data, b.data
+    return _make(ad / bd, (a, b), lambda g, need: (g / bd, -g * ad / (bd * bd)))
 
 
 def scale(x, c):
     """Multiply by a python scalar (the one sanctioned broadcast)."""
     c = float(c)
-    parents = [x]
-
-    def bwd(g, seeds):
-        _flow(seeds, parents[0], g * c)
-
-    return _make(x.data * c, parents, bwd)
+    return _make(x.data * c, (x,), lambda g, need: (g * c,))
 
 
 def add_bias(x, b):
@@ -354,39 +321,22 @@ def add_bias(x, b):
     if b.dtype != x.dtype:
         raise ValueError(f"add_bias: dtype mismatch {x.dtype} vs {b.dtype}")
     lead = tuple(range(x.ndim - b.ndim))
-    parents = [x, b]
-
-    def bwd(g, seeds):
-        nx, nb = parents
-        if nx is not None:
-            _flow(seeds, nx, g)
-        if nb is not None:
-            _flow(seeds, nb, g.sum(axis=lead) if lead else g.copy())
-
-    return _make(x.data + b.data, parents, bwd)
+    return _make(x.data + b.data, (x, b),
+                 lambda g, need: (g, g.sum(axis=lead) if lead else g.copy()))
 
 
 def leaky_relu(x):
     mask_pos = x.data > 0
     alpha = x.dtype.type(0.01)
     out = np.where(mask_pos, x.data, x.data * alpha)
-    parents = [x]
-
-    def bwd(g, seeds):
-        _flow(seeds, parents[0], g * np.where(mask_pos, alpha.dtype.type(1), alpha))
-
-    return _make(out, parents, bwd)
+    return _make(out, (x,),
+                 lambda g, need: (g * np.where(mask_pos, alpha.dtype.type(1), alpha),))
 
 
 def relu(x):
     mask = x.data > 0
     out = np.where(mask, x.data, x.dtype.type(0))
-    parents = [x]
-
-    def bwd(g, seeds):
-        _flow(seeds, parents[0], g * mask)
-
-    return _make(out, parents, bwd)
+    return _make(out, (x,), lambda g, need: (g * mask,))
 
 
 def sigmoid_np(z):
@@ -402,12 +352,7 @@ def sigmoid_np(z):
 
 def sigmoid(x):
     y = sigmoid_np(x.data)
-    parents = [x]
-
-    def bwd(g, seeds):
-        _flow(seeds, parents[0], g * y * (1.0 - y))
-
-    return _make(y, parents, bwd)
+    return _make(y, (x,), lambda g, need: (g * y * (1.0 - y),))
 
 
 # Cephes' erf (ndtr.c): x T(x^2) / U(x^2) for |x| <= 1, else
@@ -502,26 +447,24 @@ def gelu(x):
     z = x.data
     phi = 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))
     out = z * phi
-    parents = [x]
 
-    def bwd(g, seeds):
+    def grads(g, need):
         pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        _flow(seeds, parents[0], g * (phi + z * pdf))
+        return (g * (phi + z * pdf),)
 
-    return _make(out, parents, bwd)
+    return _make(out, (x,), grads)
 
 
 def softmax(x, axis=-1):
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=axis, keepdims=True)
-    parents = [x]
 
-    def bwd(g, seeds):
+    def grads(g, need):
         dot = (g * y).sum(axis=axis, keepdims=True)
-        _flow(seeds, parents[0], y * (g - dot))
+        return (y * (g - dot),)
 
-    return _make(y, parents, bwd)
+    return _make(y, (x,), grads)
 
 
 # ---------------------------------------------------------------------
@@ -544,28 +487,19 @@ def matmul(a, b):
     if a.dtype != b.dtype:
         raise ValueError(f"matmul: dtype mismatch {a.dtype} vs {b.dtype}")
 
-    ad, bd, parents = a.data, b.data, [a, b]
+    ad, bd = a.data, b.data
     if b.ndim == 2:
         a2 = ad.reshape(-1, ad.shape[-1])
 
-        def bwd(g, seeds):
-            na, nb = parents
+        def grads(g, need):
+            # the patch embedding's input (the image) needs no gradient
             g2 = g.reshape(a2.shape[0], -1)
-            if na is not None:
-                _flow(seeds, na, (g2 @ bd.T).reshape(ad.shape))
-            if nb is not None:
-                _flow(seeds, nb, a2.T @ g2)
+            return (g2 @ bd.T).reshape(ad.shape) if need[0] else None, a2.T @ g2
 
-        return _make((a2 @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), parents, bwd)
+        return _make((a2 @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), (a, b), grads)
 
-    def bwd(g, seeds):
-        na, nb = parents
-        if na is not None:
-            _flow(seeds, na, np.matmul(g, np.swapaxes(bd, -1, -2)))
-        if nb is not None:
-            _flow(seeds, nb, np.matmul(np.swapaxes(ad, -1, -2), g))
-
-    return _make(np.matmul(ad, bd), parents, bwd)
+    return _make(np.matmul(ad, bd), (a, b), lambda g, need: (
+        np.matmul(g, np.swapaxes(bd, -1, -2)), np.matmul(np.swapaxes(ad, -1, -2), g)))
 
 
 def _im2col(xp, k, s):
@@ -609,25 +543,22 @@ def conv2d(x, w, b, stride=1, padding=0):
     wmat = w.data.reshape(cout, cin * k * k)
     out = np.matmul(wmat, cols) + b.data[:, None]
     out = out.reshape(bsz, cout, ho, wo)
-    padded, parents = xp.shape, [x, w, b]
+    padded = xp.shape
 
-    def bwd(g, seeds):
-        nx, nw, nb = parents
+    def grads(g, need):
         gm = g.reshape(bsz, cout, ho * wo)
-        if nb is not None:
-            _flow(seeds, nb, gm.sum(axis=(0, 2)))
-        if nw is not None:
-            dw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0)
-            _flow(seeds, nw, dw.reshape(cout, cin, k, k))
-        if nx is not None:
-            dcols = np.matmul(wmat.T, gm).reshape(bsz, cin, k * k, ho, wo)
-            dxp = np.zeros(padded, wmat.dtype)
-            for ki in range(k):
-                for kj in range(k):
-                    dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += dcols[:, :, ki * k + kj]
-            _flow(seeds, nx, dxp[:, :, p:p + h, p:p + wd] if p else dxp)
+        dw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, k, k)
+        db = gm.sum(axis=(0, 2))
+        if not need[0]:         # the first domain layer's input is the image
+            return None, dw, db
+        dcols = np.matmul(wmat.T, gm).reshape(bsz, cin, k * k, ho, wo)
+        dxp = np.zeros(padded, wmat.dtype)
+        for ki in range(k):
+            for kj in range(k):
+                dxp[:, :, ki:ki + s * ho:s, kj:kj + s * wo:s] += dcols[:, :, ki * k + kj]
+        return dxp[:, :, p:p + h, p:p + wd] if p else dxp, dw, db
 
-    return _make(out, parents, bwd)
+    return _make(out, (x, w, b), grads)
 
 
 def conv_transpose2d(x, w, b, stride=2):
@@ -653,19 +584,12 @@ def conv_transpose2d(x, w, b, stride=2):
     tiles = (xm @ wm).reshape(bsz, h, wd, cout, k, k).transpose(0, 3, 1, 4, 2, 5)
     out = tiles.reshape(bsz, cout, h * k, wd * k) + b.data[:, None, None]
 
-    parents = [x, w, b]
-
-    def bwd(g, seeds):
-        nx, nw, nb = parents
-        if nb is not None:
-            _flow(seeds, nb, g.sum(axis=(0, 2, 3)))
+    def grads(g, need):
         gm = g.reshape(bsz, cout, h, k, wd, k).transpose(0, 2, 4, 1, 3, 5).reshape(-1, cout * k * k)
-        if nw is not None:
-            _flow(seeds, nw, (xm.T @ gm).reshape(cin, cout, k, k))
-        if nx is not None:
-            _flow(seeds, nx, (gm @ wm.T).reshape(bsz, h, wd, cin).transpose(0, 3, 1, 2))
+        return ((gm @ wm.T).reshape(bsz, h, wd, cin).transpose(0, 3, 1, 2),
+                (xm.T @ gm).reshape(cin, cout, k, k), g.sum(axis=(0, 2, 3)))
 
-    return _make(out, parents, bwd)
+    return _make(out, (x, w, b), grads)
 
 
 # ---------------------------------------------------------------------
@@ -696,21 +620,15 @@ def _norm(name, x, gamma, beta, axes, param_axis, pshape):
     gview = gamma.data.reshape(pshape)
     out = xhat * gview + beta.data.reshape(pshape)
     osum = tuple(i for i in range(x.ndim) if i != param_axis)  # reduce onto the param axis
-    parents = [x, gamma, beta]
 
-    def bwd(g, seeds):
-        nx, ngamma, nbeta = parents
-        if nbeta is not None:
-            _flow(seeds, nbeta, g.sum(axis=osum).reshape(-1))
-        if ngamma is not None:
-            _flow(seeds, ngamma, (g * xhat).sum(axis=osum).reshape(-1))
-        if nx is not None:
-            dxhat = g * gview
-            m1 = _mean(dxhat, axes, n)
-            m2 = _mean(dxhat * xhat, axes, n)
-            _flow(seeds, nx, ivar * (dxhat - m1 - xhat * m2))
+    def grads(g, need):
+        dxhat = g * gview
+        m1 = _mean(dxhat, axes, n)
+        m2 = _mean(dxhat * xhat, axes, n)
+        return (ivar * (dxhat - m1 - xhat * m2), (g * xhat).sum(axis=osum).reshape(-1),
+                g.sum(axis=osum).reshape(-1))
 
-    return _make(out, parents, bwd)
+    return _make(out, (x, gamma, beta), grads)
 
 
 def layer_norm(x, gamma, beta):
@@ -738,12 +656,8 @@ def reshape(x, shape):
     shape = tuple(int(s) for s in shape)
     if math.prod(shape) != x.size:
         raise ValueError(f"reshape: cannot view {x.shape} as {shape}")
-    old, parents = x.shape, [x]
-
-    def bwd(g, seeds):
-        _flow(seeds, parents[0], g.reshape(old))
-
-    return _make(x.data.reshape(shape), parents, bwd)
+    old = x.shape
+    return _make(x.data.reshape(shape), (x,), lambda g, need: (g.reshape(old),))
 
 
 def transpose(x, axes, view=None, shape=None):
@@ -762,13 +676,12 @@ def transpose(x, axes, view=None, shape=None):
     # the rule keeps a shape only where its reshape is not the identity
     mshape = None if shape is None else moved.shape
     old = None if view is None else x.data.shape
-    parents = [x]
 
-    def bwd(g, seeds):
+    def grads(g, need):
         gx = (g if mshape is None else g.reshape(mshape)).transpose(np.argsort(axes))
-        _flow(seeds, parents[0], gx if old is None else gx.reshape(old))
+        return (gx if old is None else gx.reshape(old),)
 
-    return _make(moved if shape is None else moved.reshape(shape), parents, bwd)
+    return _make(moved if shape is None else moved.reshape(shape), (x,), grads)
 
 
 def concat(parts, axis):
@@ -784,18 +697,9 @@ def concat(parts, axis):
                 raise ValueError(f"concat: shape mismatch {p.shape} vs {ref.shape} off axis {axis}")
         if p.dtype != ref.dtype:
             raise ValueError("concat: dtype mismatch")
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-    parents = list(parts)
-
-    def bwd(g, seeds):
-        for i, node in enumerate(parents):
-            if node is not None:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(offsets[i], offsets[i + 1])
-                _flow(seeds, node, g[tuple(sl)])
-
-    return _make(np.concatenate([p.data for p in parts], axis=axis), parents, bwd)
+    cuts = np.cumsum([p.shape[axis] for p in parts[:-1]])
+    return _make(np.concatenate([p.data for p in parts], axis=axis), parts,
+                 lambda g, need: np.split(g, cuts, axis=axis))
 
 
 def narrow(x, axis, start, length):
@@ -806,14 +710,14 @@ def narrow(x, axis, start, length):
     sl = [slice(None)] * x.ndim
     sl[axis] = slice(start, start + length)
     sl = tuple(sl)
-    old, dtype, parents = x.data.shape, x.dtype, [x]
+    old, dtype = x.data.shape, x.dtype
 
-    def bwd(g, seeds):
+    def grads(g, need):
         dx = np.zeros(old, dtype)
         dx[sl] = g
-        _flow(seeds, parents[0], dx)
+        return (dx,)
 
-    return _make(x.data[sl].copy(), parents, bwd)
+    return _make(x.data[sl].copy(), (x,), grads)
 
 
 def expand_batch(x, n):
@@ -821,12 +725,7 @@ def expand_batch(x, n):
     if x.shape[0] != 1:
         raise ValueError(f"expand_batch: leading axis must be 1, got {x.shape}")
     reps = (int(n),) + (1,) * (x.ndim - 1)
-    parents = [x]
-
-    def bwd(g, seeds):
-        _flow(seeds, parents[0], g.sum(axis=0, keepdims=True))
-
-    return _make(np.tile(x.data, reps), parents, bwd)
+    return _make(np.tile(x.data, reps), (x,), lambda g, need: (g.sum(axis=0, keepdims=True),))
 
 
 def global_avg_pool(x):
@@ -835,12 +734,8 @@ def global_avg_pool(x):
         raise ValueError(f"global_avg_pool: need [B,C,H,W], got {x.shape}")
     hw = x.shape[2] * x.shape[3]
     out = x.data.mean(axis=(2, 3), keepdims=True)
-    old, parents = x.shape, [x]
-
-    def bwd(g, seeds):
-        _flow(seeds, parents[0], np.broadcast_to(g / hw, old).copy())
-
-    return _make(out, parents, bwd)
+    old = x.shape
+    return _make(out, (x,), lambda g, need: (np.broadcast_to(g / hw, old).copy(),))
 
 
 def scale_channels(x, s):
@@ -849,28 +744,17 @@ def scale_channels(x, s):
         raise ValueError(f"scale_channels: got x {x.shape}, gate {s.shape}")
     if x.dtype != s.dtype:
         raise ValueError("scale_channels: dtype mismatch")
-
-    xd, sd, parents = x.data, s.data, [x, s]
-
-    def bwd(g, seeds):
-        nx, ns = parents
-        if nx is not None:
-            _flow(seeds, nx, g * sd)
-        if ns is not None:
-            _flow(seeds, ns, (g * xd).sum(axis=(2, 3), keepdims=True))
-
-    return _make(xd * sd, parents, bwd)
+    xd, sd = x.data, s.data
+    return _make(xd * sd, (x, s),
+                 lambda g, need: (g * sd, (g * xd).sum(axis=(2, 3), keepdims=True)))
 
 
 def tensor_sum(x):
     """Sum of all elements, as a scalar tensor."""
-    xd, parents = x.data, [x]
+    xd = x.data
     old, dtype = xd.shape, xd.dtype
-
-    def bwd(g, seeds):
-        _flow(seeds, parents[0], np.full(old, g, dtype=dtype))
-
-    return _make(np.asarray(xd.sum(), dtype=dtype), parents, bwd)
+    return _make(np.asarray(xd.sum(), dtype=dtype), (x,),
+                 lambda g, need: (np.full(old, g, dtype=dtype),))
 
 
 # ---------------------------------------------------------------------
@@ -882,16 +766,9 @@ def bce_with_logits(z, t):
     _check_binary("bce_with_logits", z, t)
     zd, td = z.data, t.data
     per = np.maximum(zd, 0) - zd * td + np.log1p(np.exp(-np.abs(zd)))
-    n, parents = zd.size, [z, t]
-
-    def bwd(g, seeds):
-        nz, nt = parents
-        if nz is not None:
-            _flow(seeds, nz, g * (sigmoid_np(zd) - td) / n)
-        if nt is not None:
-            _flow(seeds, nt, g * (-zd) / n)
-
-    return _make(np.asarray(per.mean(), dtype=zd.dtype), parents, bwd)
+    n = zd.size
+    return _make(np.asarray(per.mean(), dtype=zd.dtype), (z, t),
+                 lambda g, need: (g * (sigmoid_np(zd) - td) / n, g * (-zd) / n))
 
 
 # ---------------------------------------------------------------------

@@ -9,6 +9,7 @@ batch order and augmentations are independent of execution history.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -44,6 +45,14 @@ class TrainConfig:
     def validate(self):
         if self.epochs < 1 or self.batch < 1:
             raise ValueError("train config: epochs and batch must be positive")
+        if not 0.0 <= self.invert_prob <= 1.0:
+            raise ValueError(f"train config: invert_prob must lie in [0, 1], got {self.invert_prob}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(f"train config: momentum must lie in [0, 1), got {self.momentum}")
+        for name in ("lr0", "weight_decay"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"train config: {name} must be finite and >= 0, "
+                                 f"got {getattr(self, name)}")
         return self
 
 

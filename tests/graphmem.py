@@ -1,4 +1,5 @@
-"""Memory a recorded graph keeps alive for backward, seen by tracemalloc.
+"""Memory a recorded graph keeps alive for backward, seen by tracemalloc,
+and a helper that reads what an op handed to the graph.
 
     PYTHONPATH=src python3 tests/graphmem.py
 
@@ -33,6 +34,14 @@ def live_graph_mib(cfg=None, batch=2, seed=0):
     finally:
         tracemalloc.stop()
     return live / 2**20
+
+
+def op_grads(node):
+    """The gradient function grads(g, need) an op passed to tensor._make,
+    read from the closure of its node's rule; its __qualname__ names the
+    op, as in "reshape.<locals>.<lambda>"."""
+    rule = node._backward
+    return rule.__closure__[rule.__code__.co_freevars.index("grads")].cell_contents
 
 
 if __name__ == "__main__":

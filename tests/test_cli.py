@@ -90,6 +90,13 @@ class TestGenData:
         assert "without repeats" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_a_negative_split_count_is_a_data_error(self, tmp_path, capsys):
+        rc = main(["gen-data", "--out", str(tmp_path / "x"), "--train", "-3",
+                   "--val", "2", "--test", "2", "--size", "32"])
+        assert rc == 2
+        assert "train sample count must be >= 0, got -3" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_writes_log_and_checkpoint(self, pipeline):
@@ -138,6 +145,15 @@ class TestTrain:
                    "--domain", "B"])
         assert rc == 2
         assert "no training samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--invert-aug", "2"), ("--lr", "nan"),
+                                            ("--momentum", "-1"), ("--weight-decay", "-1e-4")])
+    def test_an_out_of_range_setting_exits_one(self, pipeline, tmp_path, capsys, flag, value):
+        rc = main(["train", "--data", str(pipeline["data"]), "--out", str(tmp_path / "o"),
+                   "--config", str(pipeline["config"]), "--epochs", "1", f"{flag}={value}"])
+        assert rc == 1
+        assert "train config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestEvalPredict:

@@ -317,6 +317,13 @@ class TestGeneration:
             generate_dataset(tmp_path / "y", seed=0, n_train=1, n_val=0,
                              n_test=0, size=16, domains=("A", "Q"))
 
+    @pytest.mark.parametrize("split", ["train", "val", "test"])
+    def test_rejects_a_negative_split_count(self, tmp_path, split):
+        counts = {"n_train": 2, "n_val": 2, "n_test": 2, f"n_{split}": -3}
+        with pytest.raises(DataError, match=f"{split} sample count must be >= 0, got -3"):
+            generate_dataset(tmp_path / "z", seed=0, size=16, **counts)
+        assert not (tmp_path / "z").exists()
+
     def test_mask_survives_a_bad_mask_file(self, corpus):
         root, samples = corpus
         s = samples[0]

@@ -7,7 +7,6 @@ import pytest
 from braidseg import tensor as T
 from braidseg.gradcheck import check_model
 from braidseg.model import ModelConfig
-from braidseg.tensor import Tensor
 from opcheck import check_op, numeric_grad, rel_error
 
 
@@ -44,22 +43,9 @@ class TestOracleSensitivity:
         x = rng.normal(size=(5, 3))
         assert check_op(T.gelu, (x,), wrt=0) < 1e-7
 
-    @staticmethod
-    def _graft(x, data, backward):
-        # hand-wired graph node, same shape _make() produces
-        out = Tensor(data)
-        out.requires_grad = True
-        out.grad = None
-        out._parents = (x,)
-        out._backward = backward
-        return out
-
     def test_flags_a_scaled_backward(self):
-        def crooked_double(x):
-            def backward(g, seeds):
-                T._flow(seeds, x, 2.0 * 1.01 * g)     # 1% too steep
-
-            return self._graft(x, 2.0 * x.data, backward)
+        def crooked_double(x):                  # 1% too steep
+            return T._make(2.0 * x.data, (x,), lambda g, need: (2.0 * 1.01 * g,))
 
         rng = np.random.default_rng(3)
         x = rng.normal(size=(4, 4))
@@ -70,10 +56,7 @@ class TestOracleSensitivity:
     def test_flags_a_dropped_term(self):
         # y = x*x with a backward that pretends y = x: misses the factor 2x
         def forgetful_square(x):
-            def backward(g, seeds):
-                T._flow(seeds, x, g)
-
-            return self._graft(x, x.data * x.data, backward)
+            return T._make(x.data * x.data, (x,), lambda g, need: (g,))
 
         rng = np.random.default_rng(4)
         x = 1.0 + rng.random((3, 3))

@@ -5,15 +5,18 @@ Every differentiable op is checked against central differences at float64
 away from activation kinks so the numeric side is well defined.
 """
 
+import ast
 import math
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import braidseg.tensor as T
+from graphmem import op_grads
 from opcheck import check_op, numeric_grad, rel_error
 
 LIN_TOL = 1e-6
@@ -429,6 +432,24 @@ class TestBackwardMechanics:
         with pytest.raises(ValueError):
             T.add(a, b)   # immediately, not at backward
 
+    def test_only_make_flows_gradients(self):
+        """Ops return their gradients: in src/, every _flow call sits in
+        _make, and only _flow and the rule _make records take `seeds`."""
+        flows, takes_seeds = [], []
+        for path in sorted(Path(T.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            scopes = [(fn.name, fn) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+            for name, fn in scopes + [("<lambda>", f) for f in ast.walk(tree)
+                                      if isinstance(f, ast.Lambda)]:
+                if "seeds" in [a.arg for a in fn.args.args]:
+                    takes_seeds.append(name)
+            for call in ast.walk(tree):
+                func = getattr(call, "func", None)
+                if isinstance(call, ast.Call) and getattr(func, "id", getattr(func, "attr", "")) == "_flow":
+                    flows.append([name for name, fn in scopes if call in ast.walk(fn)])
+        assert flows and all(names and names[0] == "_make" for names in flows), flows
+        assert sorted(takes_seeds) == ["_flow", "rule"]
+
 
 class TestGradBuffers:
     """A leaf allocates its gradient buffer on demand, never at construction."""
@@ -535,8 +556,8 @@ class TestNoGrad:
 
         made, real_make = [], T._make
 
-        def spy(data, parents, backward):
-            out = real_make(data, parents, backward)
+        def spy(data, operands, grads):
+            out = real_make(data, operands, grads)
             made.append(out)
             return out
 
@@ -589,21 +610,22 @@ class TestWhatTheGraphKeeps:
         xc = rng.uniform(size=(2, 1, 8, 8)).astype(np.float32)
         xs = rng.uniform(size=(2, 1, 32, 32)).astype(np.float32)
         loss = seg_loss(model.forward(xc, xs), (xc > 0.5).astype(np.float32))
+        ops = [op_grads(n) for n in T._topo_order(loss) if n._backward is not None]
         held = []
-        for node in T._topo_order(loss):
-            for cell in getattr(node._backward, "__closure__", None) or ():
+        for grads in ops:
+            for cell in grads.__closure__ or ():
                 val = cell.cell_contents
                 for v in val if isinstance(val, (list, tuple)) else (val,):
-                    if isinstance(v, T.Tensor) and v._node is not None:
-                        held.append(node._backward.__qualname__)
-        assert held == []
+                    if isinstance(v, (T.Tensor, T._Node)):
+                        held.append(grads.__qualname__)
+        assert len(ops) > 100 and held == []
 
     def test_no_grad_leaves_the_operands_alone(self, monkeypatch):
         seen, real_make = [], T._make
 
-        def spy(data, parents, backward):
-            seen.extend(parents)
-            return real_make(data, parents, backward)
+        def spy(data, operands, grads):
+            seen.extend(operands)
+            return real_make(data, operands, grads)
 
         monkeypatch.setattr(T, "_make", spy)
         x, w, b = self.linear_inputs()

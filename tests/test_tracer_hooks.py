@@ -1,9 +1,14 @@
 """The benchmark's tracer (bench/tracing.py) still sees every recorded op.
 
-It counts graph nodes and times backward rules by wrapping tensor._make
-and reading and assigning _backward on what it returns. A rule that moved
-off the Tensor would leave it reading 0 nodes and 0 ms without an error,
-so one traced forward and backward pass is checked here.
+It counts graph nodes and times backward rules by wrapping tensor._make,
+whose three positional parameters are (data, operands, grads), and by
+reading and reassigning _backward on what it returns. That rule is a
+(g, seeds) callable that flows g into the operands' nodes by side
+effect: the tracer's wrapper calls it and drops its return value. A rule
+that moved off the Tensor would leave the tracer reading 0 nodes and
+0 ms without an error, and one that returned its gradients instead of
+flowing them would lose them under the tracer, so one traced forward and
+backward pass is checked against the untraced one here.
 """
 
 import importlib.util
@@ -33,6 +38,9 @@ def test_the_tracer_counts_every_node_and_times_the_rules():
     xc = rng.random((2, 1, cfg.x_c, cfg.x_c), dtype=np.float32)
     xs = rng.random((2, 1, cfg.x_s, cfg.x_s), dtype=np.float32)
     target = (rng.random(xc.shape) > 0.5).astype(np.float32)
+    seg_loss(net.forward(xc, xs), target).backward()
+    untraced = {name: p.grad.copy() for name, p in net.named_params()}
+    net.zero_grad()
 
     tracer = load_tracing().Tracer().install()
     try:
@@ -48,3 +56,7 @@ def test_the_tracer_counts_every_node_and_times_the_rules():
     assert counts["tensor.graph_nodes"] == len(recorded) > 0
     for op in ("matmul", "gelu", "layer_norm", "conv2d"):
         assert counts[f"tensor.{op}.bwd_ms"] > 0, op
+    traced = dict(net.named_params())
+    assert traced.keys() == untraced.keys()
+    assert [name for name, g in untraced.items()
+            if traced[name].grad.tobytes() != g.tobytes()] == []

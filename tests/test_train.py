@@ -33,9 +33,20 @@ class TestConfig:
         cfg = TrainConfig()
         assert cfg.validate() is cfg
 
-    @pytest.mark.parametrize("kw", [{"epochs": 0}, {"batch": 0}])
+    @pytest.mark.parametrize("kw", [
+        {"epochs": 0}, {"batch": 0},
+        {"invert_prob": 2.0}, {"invert_prob": -0.1}, {"invert_prob": float("nan")},
+        {"lr0": float("nan")}, {"lr0": float("inf")}, {"lr0": -1e-3},
+        {"momentum": -1.0}, {"momentum": 1.0}, {"momentum": float("nan")},
+        {"weight_decay": -1e-4}, {"weight_decay": float("inf")},
+    ])
     def test_validate_rejects(self, kw):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            TrainConfig(**kw).validate()
+
+    def test_validate_accepts_the_range_ends(self):
+        for kw in ({"invert_prob": 0.0}, {"invert_prob": 1.0}, {"momentum": 0.0},
+                   {"lr0": 0.0}, {"weight_decay": 0.0}):
             TrainConfig(**kw).validate()
 
 
