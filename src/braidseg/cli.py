@@ -8,14 +8,14 @@ Exit codes: 0 ok, 1 usage error, 2 data error, 3 numeric failure
 from __future__ import annotations
 
 import argparse
-import json
 import os
+import re
 import sys
 
 import numpy as np
 
 from .data import (DataError, generate_dataset, load_checkpoint, load_manifest,
-                   read_pgm, select, write_pgm)
+                   read_json, read_pgm, select, write_pgm)
 from .evaluate import (ablate, ablation_csv, ablation_text, evaluate,
                        predict_mask, write_report)
 from .fusion import CycleError
@@ -29,7 +29,15 @@ EXIT_NUMERIC = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on bad flags; this tool reserves 2 for data errors."""
+    """argparse exits 2 on bad flags; this tool reserves 2 for data errors.
+
+    A negative number in exponent form (--weight-decay -1e-4) is read as a
+    value, as -1 and -0.5 already are, so it reaches TrainConfig.validate.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -42,11 +50,7 @@ def _load_config(path):
         return ModelConfig()
     if not os.path.exists(path):
         raise DataError(f"config file not found: {path}")
-    with open(path) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{path}: invalid JSON ({e})") from None
+    raw = read_json(path)
     try:
         return ModelConfig.from_dict(raw)
     except ValueError as e:

@@ -44,6 +44,17 @@ class DataError(ValueError):
     """Malformed or missing dataset / checkpoint content."""
 
 
+def read_json(path):
+    """Parse a JSON file; an unreadable path or invalid JSON raises DataError."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e}") from None
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}: invalid JSON ({e})") from None
+
+
 # ---------------------------------------------------------------------
 # PGM (P5) files
 # ---------------------------------------------------------------------
@@ -149,10 +160,13 @@ def load_manifest(root):
     if not os.path.exists(path):
         raise DataError(f"no manifest.jsonl under {root}")
     out = []
-    with open(path) as f:
-        for line in f:
-            if line.strip():
-                out.append(Sample.from_json(line))
+    try:
+        with open(path) as f:
+            for line in f:
+                if line.strip():
+                    out.append(Sample.from_json(line))
+    except OSError as e:
+        raise DataError(f"cannot read {path}: {e}") from None
     return out
 
 
@@ -402,11 +416,7 @@ def load_checkpoint(ckpt_dir, config=None):
     meta_path = os.path.join(ckpt_dir, "meta.json")
     if not os.path.exists(meta_path):
         raise DataError(f"no meta.json under {ckpt_dir}")
-    with open(meta_path) as f:
-        try:
-            meta = json.load(f)
-        except json.JSONDecodeError as e:
-            raise DataError(f"{meta_path}: invalid JSON ({e})") from None
+    meta = read_json(meta_path)
     if not isinstance(meta, dict):
         raise DataError(f"{meta_path}: not a JSON object")
     version = meta.get("format_version")
@@ -443,7 +453,10 @@ def load_checkpoint(ckpt_dir, config=None):
         path = os.path.join(ckpt_dir, entry["file"])
         if not os.path.exists(path):
             raise DataError(f"checkpoint tensor {name!r}: file {entry['file']} is missing")
-        flat = np.fromfile(path, dtype="<f4")
+        try:
+            flat = np.fromfile(path, dtype="<f4")
+        except OSError as e:
+            raise DataError(f"checkpoint tensor {name!r}: cannot read {path}: {e}") from None
         if flat.size != p.size:
             raise DataError(
                 f"checkpoint tensor {name!r}: file holds {flat.size} values, "

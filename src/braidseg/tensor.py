@@ -19,7 +19,12 @@ a gradient function reads the array. A default-config batch-2 forward
 pass plus loss keeps 19.8 MiB live (tracemalloc), against 36.3 MiB when
 every result held its parents. Tensor.backward() walks the nodes once
 in reverse topological order and accumulates gradients by summation at
-every use site.
+every use site. It swaps each node's rule for a spent one just before
+running it, so the arrays that rule read are freed as the walk passes,
+and a graph is differentiated once: a second backward() of it raises.
+A leaf's final gradient either accumulates into its .grad or, given
+backward(step), goes to step(leaf, grad), which the training loop uses
+to update each parameter in place as soon as its gradient is complete.
 
 Shape discipline: binary elementwise ops require identical shapes and
 dtypes. There is no implicit broadcasting. The only shape-expanding
@@ -37,8 +42,9 @@ Concurrency: a graph is built and differentiated on one thread;
 independent graphs on independent tensors are safe in parallel. The
 no_grad flag and gelu's erf work rows are per thread. A gradient
 function reads the arrays its forward saw, so nothing may change them in
-place before backward; the optimizer mutates parameter .data in place
-only between graphs.
+place before backward reaches it; the optimizer mutates a parameter's
+.data in place only from backward's step, after every rule that reads
+it has run, or between graphs.
 """
 
 from __future__ import annotations
@@ -72,8 +78,11 @@ class Tensor:
     its weights. Reading .grad on such a leaf allocates, keeps and returns
     exact zeros of the data's shape and dtype; backward() adds the first
     flow into that zero buffer, so parameters untouched by a loss read back
-    exactly zero. Calling backward() twice without zero_grad() accumulates.
-    Non-leaves read .grad as None: their flows live in backward's seeds.
+    exactly zero. Each graph is differentiated once and released as it is
+    walked; the backward() of two graphs without zero_grad() in between
+    accumulates. backward(step) hands each leaf's gradient to step instead
+    and allocates no buffer. Non-leaves read .grad as None: their flows
+    live in backward's seeds.
 
     A recorded result points at its graph node (_node); _parents and
     _backward read that node, and read () and None on a leaf. _backward
@@ -149,13 +158,22 @@ class Tensor:
         else:
             self._grad = None
 
-    def backward(self):
+    def backward(self, step=None):
         """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
 
         self must hold a single scalar (the loss). Traversal is a single
         pass over the recorded nodes in exact reverse topological order;
         each rule reads only the arrays its forward saved, so the graph
-        holds those and no intermediate Tensor.
+        holds those and no intermediate Tensor. Each node's rule is swapped
+        for _spent just before it runs, which frees what it read as the
+        walk passes and makes a second backward() of this graph raise
+        RuntimeError.
+
+        With step, each reached leaf that requires grad gets step(leaf, g)
+        once, with its final gradient g, instead of .grad += g. step may
+        update leaf.data in place: every rule that reads a leaf's array
+        belongs to one of its consumers, and the reverse topological order
+        runs all of them before the leaf.
         """
         if self.size != 1:
             raise ValueError(f"backward: loss must be scalar, got shape {self.shape}")
@@ -169,13 +187,22 @@ class Tensor:
             if g is None:
                 continue
             rule = node._backward
-            if rule is None:
-                # leaf: fold the flow into the persistent buffer (zeros on
-                # first use, so the first flow lands as 0 + g)
+            if rule is not None:
+                node._backward = _spent
+                rule(g, seeds)
+            elif step is not None:
+                step(node, g)
+            else:
+                # fold the flow into the persistent buffer (zeros on first
+                # use, so the first flow lands as 0 + g)
                 buf = node.grad
                 buf += g
-            else:
-                rule(g, seeds)
+
+
+def _spent(*_):
+    """The rule of a node backward() has already run."""
+    raise RuntimeError("backward: this graph was already differentiated and its "
+                       "saved arrays freed; recompute the loss")
 
 
 class _Node:

@@ -106,16 +106,27 @@ class SgdState:
         return v
 
 
+def sgd_update(p, g, v, lr, momentum, weight_decay):
+    """One parameter's step, in place: v <- mu*v + (g + wd*theta); theta -= lr*v.
+
+    Adding 0.0 turns a -0.0 in g + wd*theta into +0.0, as the first flow
+    into a zero .grad buffer (0 + g) does, so the step is the same bits
+    whether g comes from that buffer or straight from backward.
+    """
+    v *= momentum
+    d = g + weight_decay * p.data
+    d += 0.0
+    v += d
+    p.data -= lr * v
+
+
 def sgd_step(named_params, state, lr, momentum=0.99, weight_decay=1e-4):
     """g' = g + wd*theta;  v <- mu*v + g';  theta <- theta - lr*v  (in place)."""
     for name, p in named_params:
         g = p.grad
         if g is None or not p.requires_grad:
             raise ValueError(f"sgd: missing gradient for parameter {name!r}")
-        v = state.vel(name, p.data)
-        v *= momentum
-        v += g + weight_decay * p.data
-        p.data -= lr * v
+        sgd_update(p, g, state.vel(name, p.data), lr, momentum, weight_decay)
 
 
 # ---------------------------------------------------------------------
@@ -158,6 +169,11 @@ def train(model, root, samples, cfg, out_dir=None, log=None):
     Raises NumericError the moment the loss stops being finite, and before
     anything is written if a parameter holds a non-finite value after the
     last update (a finite loss can still carry a NaN gradient).
+
+    Each parameter takes its SGD step (sgd_update) inside backward, as soon
+    as its gradient is complete, and one that no flow reached takes the
+    zero-gradient step after it; so no gradient buffer is ever allocated,
+    and each op's saved arrays are freed as backward passes it.
     """
     cfg.validate()
     if not samples:
@@ -166,8 +182,11 @@ def train(model, root, samples, cfg, out_dir=None, log=None):
     mcfg = model.cfg
     state = SgdState()
     params = model.named_params()
-    for _, p in params:
-        p.grad      # allocate every gradient buffer now, before any step's activations
+
+    def step(p, g):
+        name = unreached.pop(id(p))[0]
+        sgd_update(p, g, state.vel(name, p.data), lr, cfg.momentum, cfg.weight_decay)
+
     rows = [("iteration", "epoch", "lr", "loss")]
     iteration = 0
     for epoch in range(cfg.epochs):
@@ -197,9 +216,14 @@ def train(model, root, samples, cfg, out_dir=None, log=None):
                 raise NumericError(
                     f"non-finite loss {loss_val} at iteration {iteration + 1} "
                     f"(epoch {epoch}, lr {lr:g})")
-            loss.backward()
+            unreached = {id(p): (name, p) for name, p in params}
+            loss.backward(step)
             del logits, loss        # free this step's graph before the next forward
-            sgd_step(params, state, lr, cfg.momentum, cfg.weight_decay)
+            for name, p in unreached.values():
+                sgd_update(p, np.zeros_like(p.data), state.vel(name, p.data), lr,
+                           cfg.momentum, cfg.weight_decay)
+            # no buffer to clear unless the caller made one; the benchmark's
+            # tracer (bench/tracing.py) ends an iteration at this call
             model.zero_grad()
             iteration += 1
             rows.append((iteration, epoch, repr(float(lr)), repr(loss_val)))

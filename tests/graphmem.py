@@ -1,17 +1,21 @@
-"""Memory a recorded graph keeps alive for backward, seen by tracemalloc,
-and a helper that reads what an op handed to the graph.
+"""Memory a recorded graph keeps alive for backward and the peak of a
+short training run, seen by tracemalloc, and a helper that reads what an
+op handed to the graph.
 
     PYTHONPATH=src python3 tests/graphmem.py
 
-prints the figure for one default-config batch-2 forward pass plus loss.
+prints the figures for one default-config batch-2 forward pass plus loss
+and for a default-config train() of four iterations.
 """
 
+import tempfile
 import tracemalloc
 
 import numpy as np
 
+from braidseg.data import generate_dataset, select
 from braidseg.model import ModelConfig, build_model
-from braidseg.train import seg_loss
+from braidseg.train import TrainConfig, seg_loss, train
 
 
 def live_graph_mib(cfg=None, batch=2, seed=0):
@@ -36,6 +40,29 @@ def live_graph_mib(cfg=None, batch=2, seed=0):
     return live / 2**20
 
 
+def train_peak_mib(epochs=4, seed=0):
+    """Peak MiB traced during a default-config train() of `epochs`
+    iterations: criterion 4's settings on one batch of two paired samples.
+
+    The model and the dataset are made before tracing starts, so the
+    figure is what a step needs beside the weights: activations, the
+    graph, the velocities and any gradient buffers.
+    """
+    with tempfile.TemporaryDirectory() as root:
+        samples = select(generate_dataset(root, seed=11, n_train=1, n_val=0, n_test=0,
+                                          size=32, paired=True), split="train")
+        net = build_model(ModelConfig(), seed=seed)
+        cfg = TrainConfig(epochs=epochs, batch=2, lr0=1e-2, momentum=0.9,
+                          augment=False, seed=seed)
+        tracemalloc.start()
+        try:
+            train(net, root, samples, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak / 2**20
+
+
 def op_grads(node):
     """The gradient function grads(g, need) an op passed to tensor._make,
     read from the closure of its node's rule; its __qualname__ names the
@@ -46,3 +73,4 @@ def op_grads(node):
 
 if __name__ == "__main__":
     print(f"live graph, default config, batch 2, forward plus loss: {live_graph_mib():.2f} MiB")
+    print(f"train() peak, default config, batch 2, four iterations: {train_peak_mib():.2f} MiB")

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -155,6 +156,17 @@ class TestTrain:
         assert "train config" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("flag,value,field", [("--weight-decay", "-1e-4", "weight_decay"),
+                                                  ("--lr", "-1E-3", "lr0"),
+                                                  ("--lr", "-.5e+2", "lr0")])
+    def test_a_negative_value_in_exponent_form_reaches_the_range_check(
+            self, pipeline, tmp_path, capsys, flag, value, field):
+        rc = main(["train", "--data", str(pipeline["data"]), "--out", str(tmp_path / "o"),
+                   "--config", str(pipeline["config"]), "--epochs", "1", flag, value])
+        assert rc == 1
+        assert f"train config: {field} must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestEvalPredict:
     def test_eval_writes_csv_report(self, pipeline, capsys):
@@ -276,6 +288,38 @@ class TestGradcheckCommand:
         rc = main(["gradcheck", "--config", str(cfg)])
         assert rc == 2
         assert f"config: {field} must be >= 1" in capsys.readouterr().err
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("case", ["meta.json", "tensor-file", "manifest", "config"])
+    def test_a_directory_in_place_of_a_file_is_a_data_error(self, pipeline, tmp_path, capsys,
+                                                            case):
+        """Exit 2 with a message naming the path, not an IsADirectoryError
+        traceback."""
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(pipeline["ckpt"], ckpt)
+        image = next((pipeline["data"] / "images").iterdir())
+        argv = ["predict", "--ckpt", str(ckpt), "--image", str(image),
+                "--out", str(tmp_path / "o.pgm")]
+        if case == "meta.json":
+            victim = ckpt / "meta.json"
+        elif case == "tensor-file":
+            tensors = json.loads((ckpt / "meta.json").read_text())["tensors"]
+            victim = ckpt / tensors[sorted(tensors)[0]]["file"]
+        elif case == "manifest":
+            victim = tmp_path / "data" / "manifest.jsonl"
+            argv = ["train", "--data", str(victim.parent), "--out", str(tmp_path / "run"),
+                    "--config", str(pipeline["config"]), "--epochs", "1"]
+        else:
+            victim = tmp_path / "config.json"
+            argv = ["gradcheck", "--config", str(victim)]
+        if victim.exists():
+            victim.unlink()
+        victim.mkdir(parents=True)
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and str(victim) in err
 
 
 class TestAblateCommand:

@@ -365,6 +365,27 @@ class TestBackwardMechanics:
         x.zero_grad()
         assert np.allclose(x.grad, [0.0, 0.0])
 
+    def test_a_spent_graph_refuses_a_second_backward(self):
+        x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        loss = T.tensor_sum(T.mul(x, x))
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already differentiated"):
+            loss.backward()
+        assert np.array_equal(x.grad, [2.0, 4.0])      # nothing flowed twice
+
+    def test_step_gets_each_reached_leaf_once_and_no_buffer(self):
+        x = T.Tensor(np.array([2.0, -3.0]), requires_grad=True)
+        w = T.Tensor(np.array([0.5, 4.0]), requires_grad=True)
+        idle = T.Tensor(np.ones(2), requires_grad=True)
+        loss = T.tensor_sum(T.add(T.mul(x, x), T.mul(x, w)))     # x fans out three ways
+        calls = []
+        loss.backward(lambda leaf, g: calls.append((leaf, g.copy())))
+        assert sorted(id(leaf) for leaf, _ in calls) == sorted([id(x), id(w)])
+        got = {id(leaf): g for leaf, g in calls}
+        assert np.array_equal(got[id(x)], 2 * x.data + w.data)
+        assert np.array_equal(got[id(w)], x.data)
+        assert x._grad is None and w._grad is None and idle._grad is None
+
     def test_grad_buffer_is_reused(self):
         x = T.Tensor(np.array([1.0, 2.0]), requires_grad=True)
         buf = x.grad
@@ -449,6 +470,21 @@ class TestBackwardMechanics:
                     flows.append([name for name, fn in scopes if call in ast.walk(fn)])
         assert flows and all(names and names[0] == "_make" for names in flows), flows
         assert sorted(takes_seeds) == ["_flow", "rule"]
+
+
+    def test_backward_frees_a_rule_s_arrays_as_it_passes(self):
+        """gelu's rule keeps its input alive until backward has run it;
+        by the time the walk reaches the leaf that array is gone, while
+        the loss is still held."""
+        x = T.Tensor(rand(3, 4, seed=7), requires_grad=True)
+        h = T.scale(x, 2.0)
+        alive = weakref.ref(h.data)
+        loss = T.tensor_sum(T.gelu(h))
+        del h
+        assert alive() is not None
+        at_leaf = []
+        loss.backward(lambda leaf, g: at_leaf.append(alive()))
+        assert at_leaf == [None] and alive() is None and loss.data.size == 1
 
 
 class TestGradBuffers:

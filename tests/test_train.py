@@ -9,7 +9,7 @@ import pytest
 
 from braidseg.data import generate_dataset, select
 from braidseg.model import ModelConfig, build_model
-from braidseg.tensor import Tensor, bce_with_logits, sigmoid_np
+from braidseg.tensor import Tensor, bce_with_logits, scale, sigmoid_np, tensor_sum
 from braidseg.train import (NumericError, SgdState, TrainConfig, augment,
                             poly_lr, seg_loss, sgd_step, soft_dice, train)
 
@@ -161,6 +161,28 @@ class TestSgd:
             assert p.data.tobytes() == theta.tobytes()
             assert velocity.tobytes() == v_ref.tobytes()
 
+    def test_a_negative_zero_gradient_steps_as_a_zero_buffer_would(self):
+        """backward(step) hands sgd_update a raw -0.0, where sgd_step reads
+        0 + -0.0 = +0.0 from the buffer; with momentum 0 and a negative
+        velocity, v *= mu leaves -0.0, and the velocity must still come
+        out +0.0 on both paths."""
+        def run(fused):
+            p = Tensor(np.array([-1.0]), requires_grad=True)
+            state = SgdState()
+            for c in (-1.0, -0.0):           # a negative velocity, then a -0.0 gradient
+                loss = tensor_sum(scale(p, c))
+                if fused:
+                    loss.backward(lambda leaf, g: train_mod.sgd_update(
+                        leaf, g, state.vel("p", leaf.data), 0.5, 0.0, 0.0))
+                else:
+                    loss.backward()
+                    sgd_step([("p", p)], state, 0.5, 0.0, 0.0)
+                    p.zero_grad()
+            return p.data.tobytes(), state.velocity["p"].tobytes()
+
+        assert run(fused=True) == run(fused=False)
+        assert not np.signbit(np.frombuffer(run(fused=True)[1])).any()
+
     def test_reads_each_gradient_once(self):
         reads = []
 
@@ -310,45 +332,93 @@ class TestTrainLoop:
                                                                 monkeypatch):
         """The loss of the last iteration is finite, but its gradient is
         poisoned; train() must refuse to write the NaN parameters."""
-        real_step = train_mod.sgd_step
+        real_update = train_mod.sgd_update
         cfg = self._cfg(epochs=3)
+        model = build_model(TINY, seed=0)
+        first, victim = model.named_params()[0]
         calls = []
 
-        def poisoned_step(named_params, *args, **kw):
-            calls.append(1)
-            if len(calls) == cfg.epochs:               # one batch per epoch
-                named_params[0][1].grad[...] = np.nan
-            return real_step(named_params, *args, **kw)
+        def poisoned_update(p, g, *args):
+            if p is victim:
+                calls.append(1)
+                if len(calls) == cfg.epochs:           # one batch per epoch
+                    g = np.full_like(g, np.nan)
+            return real_update(p, g, *args)
 
-        monkeypatch.setattr(train_mod, "sgd_step", poisoned_step)
-        model = build_model(TINY, seed=0)
-        first = model.named_params()[0][0]
+        monkeypatch.setattr(train_mod, "sgd_update", poisoned_update)
         out = tmp_path / "run"
         with pytest.raises(NumericError, match=f"non-finite values in parameter '{first}'"):
             train(model, root=corpus[0], samples=corpus[1], cfg=cfg, out_dir=str(out))
         assert len(calls) == cfg.epochs
         assert not out.exists()
 
-    def test_every_buffer_exists_before_the_first_forward(self, corpus):
-        """Training allocates all gradient buffers up front, not among the
-        first step's activations, and leaves them zeroed."""
+    def test_no_gradient_buffer_is_ever_allocated(self, corpus):
+        """Each parameter steps inside backward, so training holds no .grad
+        buffer at any forward call, nor after it returns."""
         model = build_model(TINY, seed=0)
         params = model.named_params()
-        assert all(p._grad is None for _, p in params)
         real_forward = model.forward
-        held_at_call = []
+        none_at_call = []
 
         def spy(xc, xs):
-            held_at_call.append(all(p._grad is not None for _, p in params))
+            none_at_call.append(all(p._grad is None for _, p in params))
             return real_forward(xc, xs)
 
         model.forward = spy
         train(model, root=corpus[0], samples=corpus[1], cfg=self._cfg(epochs=2))
-        assert held_at_call == [True, True]
-        for name, p in params:
-            g = p._grad
-            assert g is not None and g.shape == p.shape and g.dtype == p.dtype, name
-            assert not g.any(), name
+        assert none_at_call == [True, True]
+        assert [name for name, p in params if p._grad is not None] == []
+
+    def test_steps_inside_backward_are_bitwise_backward_then_sgd_step(self, monkeypatch,
+                                                                      tmp_path):
+        """Three iterations of criterion 4's recipe: train()'s parameters and
+        velocities equal those of backward() followed by sgd_step on the
+        same batches and learning rates, bit for bit. Each model carries a
+        spare parameter no flow reaches, which takes the zero-gradient
+        step (weight decay alone)."""
+        samples = select(generate_dataset(tmp_path, seed=11, n_train=1, n_val=0, n_test=0,
+                                          size=32, paired=True), split="train")
+        cfg = TrainConfig(epochs=3, batch=2, lr0=1e-2, momentum=0.9, augment=False, seed=0)
+        states, inputs, targets = [], [], []
+
+        class Recorded(SgdState):
+            def __init__(self):
+                super().__init__()
+                states.append(self)
+
+        def recorded_loss(logits, target):
+            targets.append(target)
+            return seg_loss(logits, target)
+
+        model = build_model(ModelConfig(), seed=0)
+        model.spare = Tensor(np.ones(3, np.float32), requires_grad=True)
+        real_forward = model.forward
+
+        def recorded_forward(xc, xs):
+            inputs.append((xc, xs))
+            return real_forward(xc, xs)
+
+        model.forward = recorded_forward
+        monkeypatch.setattr(train_mod, "SgdState", Recorded)
+        monkeypatch.setattr(train_mod, "seg_loss", recorded_loss)
+        rows = train(model, str(tmp_path), samples, cfg)
+        assert len(rows) - 1 == len(inputs) == len(targets) == 3
+
+        ref = build_model(ModelConfig(), seed=0)
+        ref.spare = Tensor(np.ones(3, np.float32), requires_grad=True)
+        ref_params, ref_state = ref.named_params(), SgdState()
+        for row, (xc, xs), target in zip(rows[1:], inputs, targets):
+            seg_loss(ref.forward(xc, xs), target).backward()
+            sgd_step(ref_params, ref_state, float(row[2]), cfg.momentum, cfg.weight_decay)
+            ref.zero_grad()
+        (state,) = states
+        assert sorted(state.velocity) == sorted(ref_state.velocity)
+        got = dict(model.named_params())
+        assert all(p._grad is None for p in got.values())    # train() took the fused path
+        assert (model.spare.data < 1).all()
+        assert [name for name, p in ref_params
+                if got[name].data.tobytes() != p.data.tobytes()
+                or state.velocity[name].tobytes() != ref_state.velocity[name].tobytes()] == []
 
     def test_previous_graph_is_freed_before_the_next_forward(self, corpus):
         """Only one step's activations may be alive at a time."""
