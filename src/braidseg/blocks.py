@@ -10,7 +10,6 @@ init_params() sets them all in one pass at the requested precision, so a
 float64 model is drawn at float64; each drawn tensor has its own RNG,
 seeded by (global seed, name hash), so two models sharing a parameter name
 and seed hold the same bits even when one omits whole submodules.
-cast_block re-casts a built model.
 """
 
 from __future__ import annotations
@@ -100,16 +99,6 @@ def _trunc_normal(rng, shape, std):
         v.put(bad, redraw)
         bad = bad[np.abs(redraw) > 2 * std]
     return v
-
-
-def cast_block(block, dtype):
-    """Re-type every parameter buffer in place (f32 <-> f64); a gradient
-    buffer of the old dtype is dropped, not reallocated. A buffer already
-    of that dtype is kept, not copied."""
-    for _, p in block.named_params():
-        p.data = p.data.astype(dtype, copy=False)
-        p.zero_grad()
-    return block
 
 
 # ---------------------------------------------------------------------

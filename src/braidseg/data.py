@@ -45,12 +45,15 @@ class DataError(ValueError):
 
 
 def read_json(path):
-    """Parse a JSON file; an unreadable path or invalid JSON raises DataError."""
+    """Parse a JSON file; an unreadable path, text that is not UTF-8 or
+    invalid JSON raises DataError."""
     try:
         with open(path) as f:
             return json.load(f)
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e})") from None
     except json.JSONDecodeError as e:
         raise DataError(f"{path}: invalid JSON ({e})") from None
 
@@ -167,6 +170,8 @@ def load_manifest(root):
                     out.append(Sample.from_json(line))
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e})") from None
     return out
 
 

@@ -22,16 +22,20 @@ model computes exactly the two independent branches.
 
 The plan is a static step list in which every step is one layer of
 either branch, one coupler, or the final element-wise fuse of the two
-projected maps. A forward coupler directly follows its source layer; a
-feedback coupler comes before the prior layers that lead up to its
-target. Scheduling requires every feedback target to come after the last
-forward-coupler source (3m < 4m-d+1, i.e. d <= m); otherwise
-construction fails with an error naming the layers on the cycle.
+projected maps. Each step kind states once what it does: run(net, state)
+runs it on a BraidNet and a PlanState, blocks(net) names the blocks
+whose parameters it reads, and lines(run) renders it in trace(). A
+forward coupler directly follows its source layer; a feedback coupler
+comes before the prior layers that lead up to its target. Scheduling
+requires every feedback target to come after the last forward-coupler
+source (3m < 4m-d+1, i.e. d <= m); otherwise construction fails with an
+error naming the layers on the cycle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import groupby
 
 from . import tensor as T
 from .blocks import Block, Conv, InstanceNorm, LayerNorm
@@ -79,33 +83,99 @@ class DkinModule(Block):
 # the plan
 # ---------------------------------------------------------------------
 
+@dataclass
+class PlanState:
+    """BraidNet.encode's loop state before plan step k."""
+
+    k: int
+    tokens: T.Tensor
+    dmap: T.Tensor
+    domain_out: dict                        # domain layer outputs by layer
+    to_domain: dict                         # pending coupler outputs by target layer
+    to_prior: dict                          # pending coupler outputs by target layer
+
+    def copy(self):                         # the same tensors in fresh dicts
+        return replace(self, domain_out=dict(self.domain_out),
+                       to_domain=dict(self.to_domain), to_prior=dict(self.to_prior))
+
+
+class Step:
+    """Base of the step kinds: trace() renders a run of consecutive steps
+    of one kind as lines(run), by default one formatted `line` per step."""
+
+    @classmethod
+    def lines(cls, run):
+        return [cls.line.format(s) for s in run]
+
+
 @dataclass(frozen=True)
-class RunPrior:
+class RunPrior(Step):
     i: int
 
+    def run(self, net, state):
+        state.tokens = net.patch_prior.forward_layer(
+            self.i, state.tokens, state.to_prior.pop(self.i, None))
+
+    def blocks(self, net):
+        return [net.patch_prior.layers[self.i - 1]]
+
+    @classmethod
+    def lines(cls, run):                    # consecutive prior layers share a line
+        return [f"prior[{run[0].i}..{run[-1].i}]"]
+
 
 @dataclass(frozen=True)
-class RunDomain:
+class RunDomain(Step):
     j: int
+    line = "domain[{0.j}]"
+
+    def run(self, net, state):
+        state.dmap = state.domain_out[self.j] = net.conv_domain.forward_layer(
+            self.j, state.dmap, state.to_domain.pop(self.j, None))
+
+    def blocks(self, net):
+        return [net.conv_domain.layers[self.j - 1]]
 
 
 @dataclass(frozen=True)
-class ApplyRfin:
+class ApplyRfin(Step):
     idx: int
     src_prior: int
     dst_domain: int
+    line = "rfin[{0.idx}]: prior[{0.src_prior}] -> domain[{0.dst_domain}]"
+
+    def run(self, net, state):              # directly after its source layer
+        state.to_domain[self.dst_domain] = net.rfins[self.idx].forward(state.tokens)
+
+    def blocks(self, net):
+        return [net.rfins[self.idx]]
 
 
 @dataclass(frozen=True)
-class ApplyDkin:
+class ApplyDkin(Step):
     idx: int
     src_domain: int
     dst_prior: int
+    line = "dkin[{0.idx}]: domain[{0.src_domain}] -> prior[{0.dst_prior}]"
+
+    def run(self, net, state):
+        state.to_prior[self.dst_prior] = net.dkins[self.idx].forward(
+            state.domain_out[self.src_domain])
+
+    def blocks(self, net):
+        return [net.dkins[self.idx]]
 
 
 @dataclass(frozen=True)
-class FinalFuse:
-    pass
+class FinalFuse(Step):
+    line = "fuse"
+
+    def run(self, net, state):              # the last step: returns the fused map
+        return final_fuse(net.patch_prior.project(state.tokens),
+                          net.conv_domain.project(state.dmap))
+
+    def blocks(self, net):
+        return [net.patch_prior.neck, net.conv_domain.out_proj]
 
 
 class FusionPlan:
@@ -162,21 +232,7 @@ class FusionPlan:
     def trace(self):
         """Deterministic text rendering of the schedule: one line per step,
         except that each run of consecutive prior layers shares one line."""
-        lines, lo = [], None
-        for k, s in enumerate(self.steps):
-            if isinstance(s, RunPrior):
-                lo = lo or s.i
-                if not isinstance(self.steps[k + 1], RunPrior):
-                    lines.append(f"prior[{lo}..{s.i}]")
-                    lo = None
-            elif isinstance(s, RunDomain):
-                lines.append(f"domain[{s.j}]")
-            elif isinstance(s, ApplyRfin):
-                lines.append(f"rfin[{s.idx}]: prior[{s.src_prior}] -> domain[{s.dst_domain}]")
-            elif isinstance(s, ApplyDkin):
-                lines.append(f"dkin[{s.idx}]: domain[{s.src_domain}] -> prior[{s.dst_prior}]")
-            else:
-                lines.append("fuse")
+        lines = [ln for kind, run in groupby(self.steps, type) for ln in kind.lines(list(run))]
         return "\n".join(lines) + "\n"
 
 

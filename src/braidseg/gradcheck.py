@@ -10,7 +10,7 @@ evaluations reruns the forward pass only from the first plan step that
 reads the perturbed tensor, on the state an unperturbed pass saved, so
 it computes the same bits as a whole forward pass at a fraction of the
 cost. BraidNet.resume_steps finds that step by parameter identity,
-through the blocks BraidNet._blocks_of names for each step.
+through the blocks each plan step's blocks(net) names.
 """
 
 from __future__ import annotations

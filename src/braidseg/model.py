@@ -1,14 +1,11 @@
 """Model configuration and the assembled two-branch network.
 
 The fusion plan is static for a given (m, r, d), so BraidNet.encode runs
-its steps as a plain loop: one layer of either branch per step, each
-handed the coupler output pending for it, if any. The loop keeps the
-current tokens and map, the domain outputs and the pending coupler
-outputs. It can also start at any step from the state an earlier pass
-saved before it; the gradient audit uses this to rerun only the steps a
-perturbed parameter affects. BraidNet._blocks_of states once which
-blocks each step runs, and BraidNet.resume_steps matches every parameter
-to its first step by identity through it.
+it as a plain loop in which each step updates one PlanState (fusion.py).
+The loop can also start at any step from the state an earlier pass saved
+before it; the gradient audit uses this to rerun only the steps a
+perturbed parameter affects, which BraidNet.resume_steps finds through
+the blocks each step reads.
 """
 
 from __future__ import annotations
@@ -20,8 +17,7 @@ import numpy as np
 from .blocks import Block, PatchEmbed, init_params
 from .decoder import MaskDecoder, PromptEncoder
 from .domain import DomainBranch
-from .fusion import (ApplyDkin, ApplyRfin, DkinModule, RfinModule, RunDomain,
-                     RunPrior, build_plan, final_fuse)
+from .fusion import DkinModule, PlanState, RfinModule, build_plan
 from .prior import PriorBranch
 from .tensor import Tensor
 
@@ -104,7 +100,7 @@ class BraidNet(Block):
 
     @property
     def dtype(self):
-        """The parameters' precision, read from them (cast_block may change it)."""
+        """The parameters' precision, read from them."""
         return self.patch_prior.embed.w.dtype
 
     def forward(self, x_c, x_s):
@@ -120,42 +116,27 @@ class BraidNet(Block):
 
         The loop starts at step 0 on the embedded inputs or, given a `state`
         that an earlier pass saved, at the step it was saved before; x_c and
-        x_s are then not read. When `saved` is a list, the state before each
-        step this pass runs is appended to it: the pass's own tensors, with
-        copies of its dicts.
+        x_s are then not read. When `saved` is a list, a copy of the state
+        before each step this pass runs is appended to it.
         """
-        prior, dom = self.patch_prior, self.conv_domain
         if state is None:
             x_c = self._as_input(x_c, self.cfg.x_c, "x_c")
             x_s = self._as_input(x_s, self.cfg.x_s, "x_s")
-            start, tokens, dmap = 0, prior.embed_tokens(x_s), x_c
-            domain_out = {}
-            to_domain, to_prior = {}, {}     # coupler outputs by target layer
+            state = PlanState(0, self.patch_prior.embed_tokens(x_s), x_c, {}, {}, {})
         else:                                # copied: a state is resumed many times
-            start, tokens, dmap, *dicts = state
-            domain_out, to_domain, to_prior = map(dict, dicts)
-        for k, step in enumerate(self.plan.steps[start:], start):
+            state = state.copy()
+        for state.k, step in enumerate(self.plan.steps[state.k:], state.k):
             if saved is not None:
-                saved.append((k, tokens, dmap, dict(domain_out),
-                              dict(to_domain), dict(to_prior)))
-            if isinstance(step, RunPrior):
-                tokens = prior.forward_layer(step.i, tokens, to_prior.pop(step.i, None))
-            elif isinstance(step, RunDomain):
-                dmap = dom.forward_layer(step.j, dmap, to_domain.pop(step.j, None))
-                domain_out[step.j] = dmap
-            elif isinstance(step, ApplyRfin):         # directly after its source layer
-                to_domain[step.dst_domain] = self.rfins[step.idx].forward(tokens)
-            elif isinstance(step, ApplyDkin):
-                to_prior[step.dst_prior] = self.dkins[step.idx].forward(domain_out[step.src_domain])
-            else:                            # FinalFuse, always the last step
-                return final_fuse(prior.project(tokens), dom.project(dmap))
+                saved.append(state.copy())
+            fused = step.run(self, state)
+        return fused
 
     def resume_steps(self):
         """Map each parameter name to the index of the first step that reads it.
 
         Perturbing a parameter leaves the output of every earlier step
         unchanged, so a forward pass can resume there from the state an
-        unperturbed pass saved. Each step's blocks (_blocks_of) claim their
+        unperturbed pass saved. Each step's blocks(net) claim their
         parameters by identity. The prompt encoder and the decoder run after
         the plan and map to len(plan.steps); what no step claims, the
         embedding, maps to None (run the whole forward).
@@ -163,24 +144,12 @@ class BraidNet(Block):
         steps = self.plan.steps
         first = {}
         for k, step in enumerate(steps):
-            for block in self._blocks_of(step):
+            for block in step.blocks(self):
                 for _, p in block.named_params():
                     first.setdefault(id(p), k)
         for _, p in self.prompt.named_params() + self.decoder.named_params():
             first.setdefault(id(p), len(steps))
         return {name: first.get(id(p)) for name, p in self.named_params()}
-
-    def _blocks_of(self, step):
-        """The blocks whose parameters plan step `step` reads."""
-        if isinstance(step, RunPrior):
-            return [self.patch_prior.layers[step.i - 1]]
-        if isinstance(step, RunDomain):
-            return [self.conv_domain.layers[step.j - 1]]
-        if isinstance(step, ApplyRfin):
-            return [self.rfins[step.idx]]
-        if isinstance(step, ApplyDkin):
-            return [self.dkins[step.idx]]
-        return [self.patch_prior.neck, self.conv_domain.out_proj]     # FinalFuse
 
     def _as_input(self, x, extent, name):
         if isinstance(x, Tensor):
@@ -193,9 +162,9 @@ class BraidNet(Block):
 
 def build_model(cfg, seed=0, dtype=np.float32):
     """Construct a BraidNet and draw its parameters at `dtype` in one pass
-    (init_params); cast_block re-casts a built model. Values depend only on
-    (seed, parameter name), so an (r=0, d=0) model shares the bits of every
-    parameter it has with a fully coupled one.
+    (init_params). Values depend only on (seed, parameter name), so an
+    (r=0, d=0) model shares the bits of every parameter it has with a
+    fully coupled one.
     """
     net = BraidNet(cfg)
     init_params(net, seed, dtype)

@@ -9,9 +9,8 @@ from braidseg import tensor as T
 from braidseg.tensor import Tensor
 from braidseg.blocks import (Attention, Block, Conv, InstanceNorm, LayerNorm,
                              Linear, Mlp, PatchEmbed, ResidualSeBlock,
-                             TransformerBlock, _trunc_normal, cast_block,
-                             init_params, param, stable_hash, window_merge,
-                             window_partition)
+                             TransformerBlock, _trunc_normal, init_params,
+                             param, stable_hash, window_merge, window_partition)
 from braidseg.model import BraidNet, ModelConfig, build_model
 
 
@@ -84,7 +83,7 @@ class TestParamBookkeeping:
         x = Tensor(np.ones((2, 4), dtype=np.float32))
         T.tensor_sum(fc.forward(x)).backward()
         assert any(np.abs(p.grad).sum() > 0 for _, p in fc.named_params())
-        cast_block(fc, np.float64)
+        init_params(fc, seed=1, dtype=np.float64)
         for _, p in fc.named_params():
             assert p.dtype == np.float64
             assert np.all(p.grad == 0.0)
@@ -99,9 +98,8 @@ class TestNorms:
     def test_layer_norm_statistics(self, seed):
         rng = np.random.default_rng(seed)
         ln = LayerNorm(32)
-        init_params(ln, seed=0)
+        init_params(ln, seed=0, dtype=np.float64)
         x = rand(rng, 4, 7, 32, dtype=np.float64)
-        cast_block(ln, np.float64)
         y = ln.forward(Tensor(x)).data
         assert np.abs(y.mean(axis=-1)).max() < 1e-12
         assert np.abs(y.std(axis=-1) - 1.0).max() < 1e-3
@@ -110,8 +108,7 @@ class TestNorms:
     def test_instance_norm_statistics(self, seed):
         rng = np.random.default_rng(seed)
         inorm = InstanceNorm(6)
-        init_params(inorm, seed=0)
-        cast_block(inorm, np.float64)
+        init_params(inorm, seed=0, dtype=np.float64)
         x = rand(rng, 2, 6, 5, 5, dtype=np.float64)
         y = inorm.forward(Tensor(x)).data
         assert np.abs(y.mean(axis=(2, 3))).max() < 1e-12
@@ -132,8 +129,7 @@ class TestAttention:
     def test_single_head_matches_manual_reference(self):
         rng = np.random.default_rng(7)
         attn = Attention(8, heads=1)
-        init_params(attn, seed=5)
-        cast_block(attn, np.float64)
+        init_params(attn, seed=5, dtype=np.float64)
         x = rand(rng, 1, 5, 8, dtype=np.float64)
         xt = Tensor(x)
         out = attn.forward(xt, xt, xt).data
@@ -169,8 +165,7 @@ class TestAttention:
         (softmax rows sum to one) pushed through the output projection."""
         rng = np.random.default_rng(seed)
         attn = Attention(8, heads=2)
-        init_params(attn, seed=seed)
-        cast_block(attn, np.float64)
+        init_params(attn, seed=seed, dtype=np.float64)
         for n, p in attn.named_params():
             if n == "wv.w":
                 p.data = np.zeros_like(p.data)
@@ -308,10 +303,11 @@ def rescan_trunc_normal(rng, shape, std):
 
 
 def two_phase_build(cfg, seed, dtype):
-    """Reference build: float32 zeros, cast_block to `dtype`, then an RNG
-    per tensor, drawn or not, and the rescanning truncated normal."""
-    net = cast_block(BraidNet(cfg), dtype)
+    """Reference build: float32 zeros cast to `dtype`, then an RNG per
+    tensor, drawn or not, and the rescanning truncated normal."""
+    net = BraidNet(cfg)
     for name, p in net.named_params():
+        p.data = p.data.astype(dtype)
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), stable_hash(name)]))
         kind, _, arg = p.init_kind.partition(":")
         if kind == "ones":

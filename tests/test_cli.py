@@ -321,6 +321,35 @@ class TestUnreadableInputs:
         assert rc == 2
         assert "data error" in err and str(victim) in err
 
+    @pytest.mark.parametrize("case", ["train-manifest", "eval-meta.json",
+                                      "predict-meta.json", "gradcheck-config"])
+    def test_an_input_that_is_not_utf8_is_a_data_error(self, pipeline, tmp_path, capsys,
+                                                      case):
+        """Exit 2 with a message naming the file, not exit 1 with a bare
+        codec error."""
+        ckpt, data = tmp_path / "ckpt", tmp_path / "data"
+        shutil.copytree(pipeline["ckpt"], ckpt)
+        shutil.copytree(pipeline["data"], data)
+        image = next((data / "images").iterdir())
+        victim, argv = {
+            "train-manifest": (data / "manifest.jsonl", [
+                "train", "--data", str(data), "--out", str(tmp_path / "run"),
+                "--config", str(pipeline["config"]), "--epochs", "1"]),
+            "eval-meta.json": (ckpt / "meta.json", [
+                "eval", "--data", str(data), "--ckpt", str(ckpt),
+                "--report", str(tmp_path / "r.csv")]),
+            "predict-meta.json": (ckpt / "meta.json", [
+                "predict", "--ckpt", str(ckpt), "--image", str(image),
+                "--out", str(tmp_path / "o.pgm")]),
+            "gradcheck-config": (tmp_path / "config.json", [
+                "gradcheck", "--config", str(tmp_path / "config.json")]),
+        }[case]
+        victim.write_bytes(b"\xff\xfe")
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and str(victim) in err
+
 
 class TestAblateCommand:
     def test_sweep_writes_tables_with_invalid_cells(self, pipeline, capsys):

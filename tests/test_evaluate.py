@@ -5,7 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
-from braidseg.blocks import cast_block
+from braidseg.blocks import init_params
 from braidseg.data import (generate_dataset, load_checkpoint, load_sample,
                            save_checkpoint, select)
 
@@ -112,8 +112,9 @@ class TestNoGradientMemory:
         evaluate(loaded, root, select(samples, split="val"))
         assert self._held(loaded) == []
 
-    def test_cast_block_allocates_none(self):
-        model = cast_block(build_model(TINY, seed=0), np.float64)
+    def test_redrawing_at_another_dtype_allocates_none(self):
+        model = build_model(TINY, seed=0)
+        init_params(model, seed=0, dtype=np.float64)
         assert self._held(model) == []
 
 

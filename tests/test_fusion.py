@@ -1,16 +1,19 @@
 """Coupling plan: pair tables, schedule legality, the zero identity, batch
 invariance of the coupled model."""
 
+import ast
 import numpy as np
 import pytest
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
-from braidseg.blocks import cast_block
+from braidseg.blocks import init_params
 from braidseg.domain import N_LAYERS
+from braidseg import fusion
 from braidseg.fusion import (ApplyDkin, ApplyRfin, CycleError, FinalFuse,
                              RunDomain, RunPrior, build_plan)
-from braidseg.model import BraidNet, ModelConfig, build_model
+from braidseg.model import ModelConfig, build_model
 
 GOLDEN_TRACE_M3 = """\
 prior[1..3]
@@ -145,6 +148,44 @@ def schedule_fault(steps, m):
 
 # every (m, r, d) with m = 1..8 that schedules: r <= 3 forward, d <= m feedback
 LEGAL = [(m, r, d) for m in range(1, 9) for r in range(4) for d in range(m + 1)]
+
+
+STEP_KINDS = ("RunPrior", "RunDomain", "ApplyRfin", "ApplyDkin", "FinalFuse")
+
+
+def step_type_tests(source):
+    """(line, name) for each step kind that an isinstance() call or a
+    comparison with a type() call in `source` names."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            named = node.args[1:]
+        elif isinstance(node, ast.Compare) and any(
+                isinstance(x, ast.Call) and getattr(x.func, "id", None) == "type"
+                for x in [node.left, *node.comparators]):
+            named = [node.left, *node.comparators]
+        else:
+            continue
+        found += [(n.lineno, getattr(n, "id", getattr(n, "attr", None)))
+                  for x in named for n in ast.walk(x)
+                  if getattr(n, "id", getattr(n, "attr", None)) in STEP_KINDS]
+    return sorted(found)
+
+
+class TestStepKinds:
+    def test_no_source_dispatches_on_a_step_kind(self):
+        """Each step kind states what it runs, reads and traces in its own
+        class, so no code in the package tests a step's type."""
+        sources = sorted(Path(fusion.__file__).parent.glob("*.py"))
+        assert len(sources) >= 10
+        found = {p.name: step_type_tests(p.read_text()) for p in sources}
+        assert {name: f for name, f in found.items() if f} == {}
+
+    def test_the_check_sees_each_form_of_type_test(self):
+        src = ("isinstance(s, RunPrior)\nisinstance(s, (int, fusion.ApplyDkin))\n"
+               "type(s) is FinalFuse\nRunDomain == type(s)\nisinstance(s, Step)\n")
+        assert step_type_tests(src) == [(1, "RunPrior"), (2, "ApplyDkin"),
+                                        (3, "FinalFuse"), (4, "RunDomain")]
 
 
 class TestSchedule:
@@ -299,6 +340,10 @@ class TestBatchInvariance:
         assert np.array_equal(batched > 0, alone > 0)
 
 
+def _dicts(state):
+    return state.domain_out, state.to_domain, state.to_prior
+
+
 class TestResumeFromSavedState:
     """encode() resumed at BraidNet.resume_steps() from a saved state is
     what the gradient audit runs instead of a whole forward pass."""
@@ -353,13 +398,11 @@ class TestResumeFromSavedState:
                 assert k == n
             else:
                 assert 0 <= k < n, name
-        assert [s[0] for s in run.saved] == list(range(n))
+        assert [s.k for s in run.saved] == list(range(n))
 
     def test_a_block_no_step_claims_reruns_the_whole_forward(self, run, monkeypatch):
-        """Leaving a block out of _blocks_of costs audit time, not correctness."""
-        blocks_of = BraidNet._blocks_of
-        monkeypatch.setattr(BraidNet, "_blocks_of", lambda net, step: (
-            [] if isinstance(step, FinalFuse) else blocks_of(net, step)))
+        """Leaving a block out of a step's blocks costs audit time, not correctness."""
+        monkeypatch.setattr(FinalFuse, "blocks", lambda step, net: [])
         starts = run.net.resume_steps()
         neck = run.net.patch_prior.neck.named_params("patch_prior.neck.")
         assert neck and all(starts[name] is None for name, _ in neck)
@@ -388,18 +431,18 @@ class TestResumeFromSavedState:
         assert all(n.endswith("b") for n in inert), inert
 
     def test_resuming_leaves_the_saved_state_as_it_was(self, run):
-        before = [tuple(sorted(d)) for s in run.saved for d in s[3:]]
+        before = [tuple(sorted(d)) for s in run.saved for d in _dicts(s)]
         with run.no_grad():
             run.net.encode(run.xc, run.xs, state=run.saved[0])
-        assert [tuple(sorted(d)) for s in run.saved for d in s[3:]] == before
+        assert [tuple(sorted(d)) for s in run.saved for d in _dicts(s)] == before
 
     def test_saved_tensors_share_no_memory_with_parameters(self, run):
         """Probes edit p.data in place; a saved view of a parameter would
         see the edit and resume from a state that was never computed."""
         held = [run.fused]
-        for _, tokens, dmap, *dicts in run.saved:
-            held += [tokens, dmap]
-            for d in dicts:
+        for s in run.saved:
+            held += [s.tokens, s.dmap]
+            for d in _dicts(s):
                 held += list(d.values())
         params = [p.data for _, p in run.net.named_params()]
         for t in held:
@@ -482,14 +525,15 @@ class TestPrecision:
             assert np.any(drawn.astype(np.float32).astype(np.float64) != drawn)
 
     def test_a_cast_model_runs_at_the_precision_cast_to(self):
-        """The inputs follow the parameters' dtype after a cast_block,
-        and a float32 -> float64 -> float32 round trip moves no bit."""
+        """The inputs follow the parameters' dtype after init_params redraws
+        a built model at another precision, and a float32 -> float64 ->
+        float32 round trip moves no bit."""
         net = build_model(self.CFG, seed=0)
         rng = np.random.default_rng(0)
         xc, xs = rng.random((1, 1, 8, 8)), rng.random((1, 1, 32, 32))
         before = net.forward(xc, xs).data
         for dtype in (np.float64, np.float32):
-            cast_block(net, dtype)
+            init_params(net, 0, dtype)
             assert net.dtype == dtype
             assert net.forward(xc, xs).dtype == dtype
         assert np.array_equal(net.forward(xc, xs).data, before)
