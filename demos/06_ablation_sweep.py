@@ -25,10 +25,10 @@ with tempfile.TemporaryDirectory() as root:
     tcfg = TrainConfig(epochs=3, batch=4, lr0=5e-3, momentum=0.9,
                        augment=False, seed=0)
 
-    def budget(model):
+    def budget(model):          # the budget closes over the training samples
         train(model, root, train_s, tcfg)
 
-    table = ablate(root, train_s, val_s, base,
+    table = ablate(root, val_s, base,
                    rfin_values=[0, 1, 3], dkin_values=[1, 3, 4],
                    train_fn=budget, seed=0, log=print)
 

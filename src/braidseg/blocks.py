@@ -137,8 +137,8 @@ class Conv(Block):
         self.w = param((cout, cin, k, k), init, fan_in=cin * k * k)
         self.b = param((cout,), "zeros")
 
-    def forward(self, x, stride=1, padding=0):
-        return T.conv2d(x, self.w, self.b, stride=stride, padding=padding)
+    def forward(self, x, stride=1):
+        return T.conv2d(x, self.w, self.b, stride=stride, padding=self.w.shape[-1] // 2)
 
 
 class Mlp(Block):
@@ -184,7 +184,7 @@ class Attention(Block):
         kt = T.transpose(self.wk.forward(k_in), (0, 2, 3, 1), view=(bsz, nk, h, hd))
         v = T.transpose(self.wv.forward(v_in), split, view=(bsz, nk, h, hd))
         scores = T.scale(T.matmul(q, kt), hd ** -0.5)
-        attn = T.softmax(scores, axis=-1)
+        attn = T.softmax(scores)
         out = T.matmul(attn, v)                                   # [B, h, Nq, hd]
         return self.wo.forward(T.transpose(out, split, shape=(bsz, nq, c)))
 
@@ -271,9 +271,9 @@ class ResidualSeBlock(Block):
             self.proj = None
 
     def forward(self, x):
-        f = self.conv1.forward(x, stride=self._stride, padding=1)
+        f = self.conv1.forward(x, stride=self._stride)
         f = T.leaky_relu(self.n1.forward(f))
-        f = self.conv2.forward(f, stride=1, padding=1)
+        f = self.conv2.forward(f)
         f = self.n2.forward(f)
         s = T.global_avg_pool(f)
         s = T.leaky_relu(self.se_reduce.forward(s))

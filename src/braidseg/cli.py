@@ -88,15 +88,15 @@ def build_parser():
     t.add_argument("--data", required=True)
     t.add_argument("--out", required=True)
     t.add_argument("--config", default=None, help="model config JSON")
-    t.add_argument("--epochs", type=int, default=50)
-    t.add_argument("--batch", type=int, default=2)
-    t.add_argument("--lr", type=float, default=3e-4)
-    t.add_argument("--momentum", type=float, default=0.99)
-    t.add_argument("--weight-decay", type=float, default=1e-4)
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    t.add_argument("--batch", type=int, default=TrainConfig.batch)
+    t.add_argument("--lr", type=float, default=TrainConfig.lr0)
+    t.add_argument("--momentum", type=float, default=TrainConfig.momentum)
+    t.add_argument("--weight-decay", type=float, default=TrainConfig.weight_decay)
+    t.add_argument("--seed", type=int, default=TrainConfig.seed)
     t.add_argument("--domain", choices=("A", "B"), default=None,
                    help="restrict training samples to one domain")
-    t.add_argument("--invert-aug", type=float, default=0.0, metavar="P",
+    t.add_argument("--invert-aug", type=float, default=TrainConfig.invert_prob, metavar="P",
                    help="probability of contrast-inversion augmentation")
 
     e = sub.add_parser("eval", prog="braidseg eval",
@@ -230,8 +230,8 @@ def _cmd_ablate(args):
     def budget(model):
         train(model, args.data, train_s, tcfg)
 
-    table = ablate(args.data, train_s, val_s, cfg, args.rfin, args.dkin,
-                   budget, seed=args.seed, log=print)
+    table = ablate(args.data, val_s, cfg, args.rfin, args.dkin, budget,
+                   seed=args.seed, log=print)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "ablation.csv")
     txt_path = os.path.join(args.out, "ablation.txt")

@@ -383,7 +383,7 @@ def save_checkpoint(model, out_dir, epoch, seed):
         tensors[name] = {"file": fname, "shape": list(p.shape)}
     meta = {
         "format_version": CHECKPOINT_VERSION,
-        "config": model.cfg.to_dict(),
+        "config": asdict(model.cfg),
         "epoch": int(epoch),
         "seed": int(seed),
         "tensors": tensors,
@@ -408,13 +408,13 @@ def _valid_entry(entry):
             and isinstance(shape, list) and all(_is_int(n) for n in shape))
 
 
-def load_checkpoint(ckpt_dir, config=None):
+def load_checkpoint(ckpt_dir):
     """Rebuild the model from a checkpoint directory -> (model, meta).
 
-    config overrides the stored one (shapes must still match; mismatches
-    raise naming the offending tensor). Every tensor entry is checked
-    before any weight file is read, and a malformed entry or stored config
-    raises DataError.
+    The model is built from the stored config, and every stored shape must
+    match it (a mismatch raises naming the offending tensor). Every tensor
+    entry is checked before any weight file is read, and a malformed entry
+    or stored config raises DataError.
     """
     from .model import BraidNet, ModelConfig
 
@@ -437,15 +437,12 @@ def load_checkpoint(ckpt_dir, config=None):
             raise DataError(
                 f"{meta_path}: tensor {name!r} needs a bare file name and a "
                 f"list of ints as shape, got {entry!r}")
-    if config is not None:
-        model = BraidNet(config)
-    elif "config" not in meta:
+    if "config" not in meta:
         raise DataError(f"{meta_path}: no model config")
-    else:
-        try:
-            model = BraidNet(ModelConfig.from_dict(meta["config"]))
-        except ValueError as e:           # wrong types, unknown keys, invalid or cyclic
-            raise DataError(f"{meta_path}: stored model config: {e}") from None
+    try:
+        model = BraidNet(ModelConfig.from_dict(meta["config"]))
+    except ValueError as e:           # wrong types, unknown keys, invalid or cyclic
+        raise DataError(f"{meta_path}: stored model config: {e}") from None
 
     for name, p in model.named_params():
         entry = stored.get(name)

@@ -143,9 +143,9 @@ class MaskDecoder(Block):
             tokens, img = layer.forward(tokens, img, token_pe, img_pe)
 
         up = T.tokens_to_map(img)
-        up = T.conv_transpose2d(up, self.up1_w, self.up1_b, stride=2)
+        up = T.conv_transpose2d(up, self.up1_w, self.up1_b)
         up = T.gelu(self.up_norm.forward(up))
-        up = T.conv_transpose2d(up, self.up2_w, self.up2_b, stride=2)
+        up = T.conv_transpose2d(up, self.up2_w, self.up2_b)
         up = T.gelu(up)                                              # [B, C_d/4, 4g, 4g]
 
         mt = T.reshape(T.narrow(tokens, 1, 0, 1), (bsz, c))

@@ -126,8 +126,8 @@ class AblationCell:
     note: str = ""
 
 
-def ablate(root, train_samples, val_samples, base_cfg, rfin_values, dkin_values,
-           train_fn, seed=0, log=None):
+def ablate(root, val_samples, base_cfg, rfin_values, dkin_values, train_fn,
+           seed=0, log=None):
     """Sweep (rfin, dkin) over the grid, identical seed and budget per cell.
 
     train_fn(model) runs the fixed training budget in place. A cell whose

@@ -10,7 +10,7 @@ the blocks each step reads.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class ModelConfig:
     @property
     def grid(self):
         return self.x_s // PatchEmbed.PATCH
-
-    def to_dict(self):
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):

@@ -4,9 +4,9 @@ Every value in the network is a Tensor wrapping a row-major numpy array,
 float32 for training and float64 for gradient checking. Operations are
 module-level functions that compute the forward result eagerly and hand
 it to _make with their operand tensors and a gradient function
-grads(g, need): given the gradient g of the result, it returns one
-gradient per operand, and may return None for operand i where need[i]
-is false (only matmul and conv2d skip work that way). grads closes over
+grads(g): given the gradient g of the result, it returns one gradient
+per operand, or None for one that did not require grad (only matmul and
+conv2d skip work that way, for an image input). grads closes over
 the arrays it reads and nothing else: the inputs of mul, div, matmul,
 gelu, scale_channels and bce_with_logits, the output of sigmoid and
 softmax, the normalised input and inverse deviation of the norms, and a
@@ -273,13 +273,13 @@ def no_grad():
 def _make(data, operands, grads):
     """Wrap data in a new tensor and record its node.
 
-    operands are the op's input tensors, and grads(g, need) returns one
-    gradient per operand for the gradient g of the result; it may return
-    None for operand i where need[i] is false. need is the tuple of the
-    operands' nodes, None for one that needs no gradient. The node's rule
-    calls grads and flows each gradient into its operand's node, so grads
-    holds arrays only, never a tensor or a node. Inside no_grad(), or when
-    no operand needs a gradient, nothing is recorded.
+    operands are the op's input tensors, and grads(g) returns one gradient
+    per operand for the gradient g of the result; it may return None for
+    an operand that does not require grad. The node's rule calls grads and
+    flows each gradient into the node of each operand that has one, so
+    grads holds arrays only, never a tensor or a node. Inside no_grad(),
+    or when no operand needs a gradient, nothing is recorded; a recorded
+    result requires grad.
     """
     out = Tensor(data)
     if _grad_mode.recording:
@@ -287,7 +287,7 @@ def _make(data, operands, grads):
         if any(nodes):
 
             def rule(g, seeds):
-                for node, d in zip(nodes, grads(g, nodes)):
+                for node, d in zip(nodes, grads(g)):
                     if node is not None:
                         _flow(seeds, node, d)
 
@@ -311,30 +311,30 @@ def _check_binary(name, a, b):
 
 def add(a, b):
     _check_binary("add", a, b)
-    return _make(a.data + b.data, (a, b), lambda g, need: (g, g))
+    return _make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a, b):
     _check_binary("sub", a, b)
-    return _make(a.data - b.data, (a, b), lambda g, need: (g, -g))
+    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a, b):
     _check_binary("mul", a, b)
     ad, bd = a.data, b.data
-    return _make(ad * bd, (a, b), lambda g, need: (g * bd, g * ad))
+    return _make(ad * bd, (a, b), lambda g: (g * bd, g * ad))
 
 
 def div(a, b):
     _check_binary("div", a, b)
     ad, bd = a.data, b.data
-    return _make(ad / bd, (a, b), lambda g, need: (g / bd, -g * ad / (bd * bd)))
+    return _make(ad / bd, (a, b), lambda g: (g / bd, -g * ad / (bd * bd)))
 
 
 def scale(x, c):
     """Multiply by a python scalar (the one sanctioned broadcast)."""
     c = float(c)
-    return _make(x.data * c, (x,), lambda g, need: (g * c,))
+    return _make(x.data * c, (x,), lambda g: (g * c,))
 
 
 def add_bias(x, b):
@@ -349,7 +349,7 @@ def add_bias(x, b):
         raise ValueError(f"add_bias: dtype mismatch {x.dtype} vs {b.dtype}")
     lead = tuple(range(x.ndim - b.ndim))
     return _make(x.data + b.data, (x, b),
-                 lambda g, need: (g, g.sum(axis=lead) if lead else g.copy()))
+                 lambda g: (g, g.sum(axis=lead) if lead else g.copy()))
 
 
 def leaky_relu(x):
@@ -357,13 +357,13 @@ def leaky_relu(x):
     alpha = x.dtype.type(0.01)
     out = np.where(mask_pos, x.data, x.data * alpha)
     return _make(out, (x,),
-                 lambda g, need: (g * np.where(mask_pos, alpha.dtype.type(1), alpha),))
+                 lambda g: (g * np.where(mask_pos, alpha.dtype.type(1), alpha),))
 
 
 def relu(x):
     mask = x.data > 0
     out = np.where(mask, x.data, x.dtype.type(0))
-    return _make(out, (x,), lambda g, need: (g * mask,))
+    return _make(out, (x,), lambda g: (g * mask,))
 
 
 def sigmoid_np(z):
@@ -379,7 +379,7 @@ def sigmoid_np(z):
 
 def sigmoid(x):
     y = sigmoid_np(x.data)
-    return _make(y, (x,), lambda g, need: (g * y * (1.0 - y),))
+    return _make(y, (x,), lambda g: (g * y * (1.0 - y),))
 
 
 # Cephes' erf (ndtr.c): x T(x^2) / U(x^2) for |x| <= 1, else
@@ -475,20 +475,21 @@ def gelu(x):
     phi = 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))
     out = z * phi
 
-    def grads(g, need):
+    def grads(g):
         pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         return (g * (phi + z * pdf),)
 
     return _make(out, (x,), grads)
 
 
-def softmax(x, axis=-1):
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x):
+    """Softmax over the last axis."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
-    def grads(g, need):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+    def grads(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _make(y, (x,), grads)
@@ -517,15 +518,15 @@ def matmul(a, b):
     ad, bd = a.data, b.data
     if b.ndim == 2:
         a2 = ad.reshape(-1, ad.shape[-1])
+        need_a = a.requires_grad   # the patch embedding's input, the image, needs none
 
-        def grads(g, need):
-            # the patch embedding's input (the image) needs no gradient
+        def grads(g):
             g2 = g.reshape(a2.shape[0], -1)
-            return (g2 @ bd.T).reshape(ad.shape) if need[0] else None, a2.T @ g2
+            return (g2 @ bd.T).reshape(ad.shape) if need_a else None, a2.T @ g2
 
         return _make((a2 @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), (a, b), grads)
 
-    return _make(np.matmul(ad, bd), (a, b), lambda g, need: (
+    return _make(np.matmul(ad, bd), (a, b), lambda g: (
         np.matmul(g, np.swapaxes(bd, -1, -2)), np.matmul(np.swapaxes(ad, -1, -2), g)))
 
 
@@ -571,12 +572,13 @@ def conv2d(x, w, b, stride=1, padding=0):
     out = np.matmul(wmat, cols) + b.data[:, None]
     out = out.reshape(bsz, cout, ho, wo)
     padded = xp.shape
+    need_x = x.requires_grad   # the first domain layer's input, the image, needs none
 
-    def grads(g, need):
+    def grads(g):
         gm = g.reshape(bsz, cout, ho * wo)
         dw = np.matmul(gm, cols.transpose(0, 2, 1)).sum(axis=0).reshape(cout, cin, k, k)
         db = gm.sum(axis=(0, 2))
-        if not need[0]:         # the first domain layer's input is the image
+        if not need_x:
             return None, dw, db
         dcols = np.matmul(wmat.T, gm).reshape(bsz, cin, k * k, ho, wo)
         dxp = np.zeros(padded, wmat.dtype)
@@ -588,8 +590,8 @@ def conv2d(x, w, b, stride=1, padding=0):
     return _make(out, (x, w, b), grads)
 
 
-def conv_transpose2d(x, w, b, stride=2):
-    """Transposed convolution, kernel k == stride. x [B,Cin,H,W], w [Cin,Cout,k,k].
+def conv_transpose2d(x, w, b):
+    """Transposed convolution at stride k. x [B,Cin,H,W], w [Cin,Cout,k,k] (square).
 
     Tiles do not overlap, so each pixel's k x k output tile is one row of
     a per-pixel matmul with w as [Cin, Cout*k*k]. Output [B,Cout,H*k,W*k].
@@ -597,8 +599,8 @@ def conv_transpose2d(x, w, b, stride=2):
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"conv_transpose2d: need 4-d input and kernel, got {x.shape}, {w.shape}")
     cin, cout, k, k2 = w.shape
-    if k != k2 or k != int(stride):
-        raise ValueError(f"conv_transpose2d: need kernel == stride, got {w.shape[2:]} and {stride}")
+    if k != k2:
+        raise ValueError(f"conv_transpose2d: kernel must be square, got {w.shape[2:]}")
     if x.shape[1] != cin:
         raise ValueError(f"conv_transpose2d: input channels {x.shape[1]} != kernel channels {cin}")
     if b.shape != (cout,):
@@ -611,7 +613,7 @@ def conv_transpose2d(x, w, b, stride=2):
     tiles = (xm @ wm).reshape(bsz, h, wd, cout, k, k).transpose(0, 3, 1, 4, 2, 5)
     out = tiles.reshape(bsz, cout, h * k, wd * k) + b.data[:, None, None]
 
-    def grads(g, need):
+    def grads(g):
         gm = g.reshape(bsz, cout, h, k, wd, k).transpose(0, 2, 4, 1, 3, 5).reshape(-1, cout * k * k)
         return ((gm @ wm.T).reshape(bsz, h, wd, cin).transpose(0, 3, 1, 2),
                 (xm.T @ gm).reshape(cin, cout, k, k), g.sum(axis=(0, 2, 3)))
@@ -648,7 +650,7 @@ def _norm(name, x, gamma, beta, axes, param_axis, pshape):
     out = xhat * gview + beta.data.reshape(pshape)
     osum = tuple(i for i in range(x.ndim) if i != param_axis)  # reduce onto the param axis
 
-    def grads(g, need):
+    def grads(g):
         dxhat = g * gview
         m1 = _mean(dxhat, axes, n)
         m2 = _mean(dxhat * xhat, axes, n)
@@ -684,7 +686,7 @@ def reshape(x, shape):
     if math.prod(shape) != x.size:
         raise ValueError(f"reshape: cannot view {x.shape} as {shape}")
     old = x.shape
-    return _make(x.data.reshape(shape), (x,), lambda g, need: (g.reshape(old),))
+    return _make(x.data.reshape(shape), (x,), lambda g: (g.reshape(old),))
 
 
 def transpose(x, axes, view=None, shape=None):
@@ -704,7 +706,7 @@ def transpose(x, axes, view=None, shape=None):
     mshape = None if shape is None else moved.shape
     old = None if view is None else x.data.shape
 
-    def grads(g, need):
+    def grads(g):
         gx = (g if mshape is None else g.reshape(mshape)).transpose(np.argsort(axes))
         return (gx if old is None else gx.reshape(old),)
 
@@ -726,7 +728,7 @@ def concat(parts, axis):
             raise ValueError("concat: dtype mismatch")
     cuts = np.cumsum([p.shape[axis] for p in parts[:-1]])
     return _make(np.concatenate([p.data for p in parts], axis=axis), parts,
-                 lambda g, need: np.split(g, cuts, axis=axis))
+                 lambda g: np.split(g, cuts, axis=axis))
 
 
 def narrow(x, axis, start, length):
@@ -739,7 +741,7 @@ def narrow(x, axis, start, length):
     sl = tuple(sl)
     old, dtype = x.data.shape, x.dtype
 
-    def grads(g, need):
+    def grads(g):
         dx = np.zeros(old, dtype)
         dx[sl] = g
         return (dx,)
@@ -752,7 +754,7 @@ def expand_batch(x, n):
     if x.shape[0] != 1:
         raise ValueError(f"expand_batch: leading axis must be 1, got {x.shape}")
     reps = (int(n),) + (1,) * (x.ndim - 1)
-    return _make(np.tile(x.data, reps), (x,), lambda g, need: (g.sum(axis=0, keepdims=True),))
+    return _make(np.tile(x.data, reps), (x,), lambda g: (g.sum(axis=0, keepdims=True),))
 
 
 def global_avg_pool(x):
@@ -762,7 +764,7 @@ def global_avg_pool(x):
     hw = x.shape[2] * x.shape[3]
     out = x.data.mean(axis=(2, 3), keepdims=True)
     old = x.shape
-    return _make(out, (x,), lambda g, need: (np.broadcast_to(g / hw, old).copy(),))
+    return _make(out, (x,), lambda g: (np.broadcast_to(g / hw, old).copy(),))
 
 
 def scale_channels(x, s):
@@ -773,7 +775,7 @@ def scale_channels(x, s):
         raise ValueError("scale_channels: dtype mismatch")
     xd, sd = x.data, s.data
     return _make(xd * sd, (x, s),
-                 lambda g, need: (g * sd, (g * xd).sum(axis=(2, 3), keepdims=True)))
+                 lambda g: (g * sd, (g * xd).sum(axis=(2, 3), keepdims=True)))
 
 
 def tensor_sum(x):
@@ -781,7 +783,7 @@ def tensor_sum(x):
     xd = x.data
     old, dtype = xd.shape, xd.dtype
     return _make(np.asarray(xd.sum(), dtype=dtype), (x,),
-                 lambda g, need: (np.full(old, g, dtype=dtype),))
+                 lambda g: (np.full(old, g, dtype=dtype),))
 
 
 # ---------------------------------------------------------------------
@@ -795,7 +797,7 @@ def bce_with_logits(z, t):
     per = np.maximum(zd, 0) - zd * td + np.log1p(np.exp(-np.abs(zd)))
     n = zd.size
     return _make(np.asarray(per.mean(), dtype=zd.dtype), (z, t),
-                 lambda g, need: (g * (sigmoid_np(zd) - td) / n, g * (-zd) / n))
+                 lambda g: (g * (sigmoid_np(zd) - td) / n, g * (-zd) / n))
 
 
 # ---------------------------------------------------------------------

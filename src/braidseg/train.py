@@ -120,7 +120,8 @@ def sgd_update(p, g, v, lr, momentum, weight_decay):
     p.data -= lr * v
 
 
-def sgd_step(named_params, state, lr, momentum=0.99, weight_decay=1e-4):
+def sgd_step(named_params, state, lr, momentum=TrainConfig.momentum,
+             weight_decay=TrainConfig.weight_decay):
     """g' = g + wd*theta;  v <- mu*v + g';  theta <- theta - lr*v  (in place)."""
     for name, p in named_params:
         g = p.grad

@@ -64,7 +64,7 @@ def train_peak_mib(epochs=4, seed=0):
 
 
 def op_grads(node):
-    """The gradient function grads(g, need) an op passed to tensor._make,
+    """The gradient function grads(g) an op passed to tensor._make,
     read from the closure of its node's rule; its __qualname__ names the
     op, as in "reshape.<locals>.<lambda>"."""
     rule = node._backward

@@ -11,6 +11,7 @@ import pytest
 from braidseg.cli import _int_list, build_parser, main
 from braidseg.data import read_pgm
 from braidseg.model import ModelConfig
+from braidseg.train import TrainConfig
 
 TINY = dict(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32,
             window=2, rfin_count=2, dkin_count=2)
@@ -47,6 +48,17 @@ class TestParsing:
             ["ablate", "--data", "d", "--out", "o", "--rfin", "0,2"])
         assert args.rfin == [0, 2]
         assert args.dkin == [1, 3, 6]
+
+    def test_train_defaults_are_the_train_config_defaults(self, monkeypatch):
+        seen = []
+
+        def stop(cfg):                  # the config train would run, before any data is read
+            seen.append(cfg)
+            raise ValueError("parsed")
+
+        monkeypatch.setattr(TrainConfig, "validate", stop)
+        assert main(["train", "--data", "d", "--out", "o"]) == 1
+        assert seen == [TrainConfig()]
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1

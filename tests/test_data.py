@@ -394,7 +394,6 @@ class TestCheckpoints:
         dst = self._tampered(saved, tmp_path, lambda m, d: m.pop("config"))
         with pytest.raises(DataError, match="no model config"):
             load_checkpoint(dst)
-        load_checkpoint(dst, config=TINY)          # an explicit config needs none
 
     def test_version_mismatch(self, saved, tmp_path):
         dst = self._tampered(saved, tmp_path,
@@ -466,10 +465,3 @@ class TestCheckpoints:
         dst = self._tampered(saved, tmp_path, edit)
         with pytest.raises(DataError, match=detail):
             load_checkpoint(dst)
-
-    def test_config_override_must_fit(self, saved, tmp_path):
-        _, root = saved
-        other = ModelConfig(m=2, C=32, C_c=8, C_d=8, heads=2, x_c=8,
-                            x_s=32, window=2, rfin_count=2, dkin_count=2)
-        with pytest.raises(DataError):
-            load_checkpoint(root, config=other)

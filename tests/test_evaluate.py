@@ -205,14 +205,13 @@ class TestReportFormats:
 class TestAblation:
     def test_grid_with_invalid_cell_and_baseline(self, corpus):
         root, samples = corpus
-        tr = select(samples, split="train")
         va = select(samples, split="val")[:2]
         seen = []
 
         def budget(model):
             seen.append(model.cfg)
 
-        table = ablate(root, tr, va, TINY, rfin_values=[0, 2],
+        table = ablate(root, va, TINY, rfin_values=[0, 2],
                        dkin_values=[2, 3], train_fn=budget, seed=0)
         # 4 grid cells plus the appended (0,0) baseline
         assert [(c.rfin, c.dkin) for c in table] == [
@@ -233,7 +232,7 @@ class TestAblation:
         root, samples = corpus
         va = select(samples, split="val")[:1]
         cfgs = []
-        table = ablate(root, [], va, TINY, rfin_values=[1],
+        table = ablate(root, va, TINY, rfin_values=[1],
                        dkin_values=[1], train_fn=lambda m: cfgs.append(m.cfg),
                        seed=0)
         assert cfgs[0].rfin_count == 1 and cfgs[0].dkin_count == 1

@@ -1,8 +1,10 @@
-"""What the package's modules import.
+"""What the package's modules import, and what their functions take.
 
 Every name a module imports is used in that module: no linter runs on the
 package, so this stands in for an unused-import rule. __init__.py is
-skipped there: its imports are the package's re-exports.
+skipped there: its imports are the package's re-exports. Likewise every
+parameter of a def or lambda is read in its body, so no function takes
+an argument it ignores.
 
 numpy is the only third-party runtime dependency: no module imports
 scipy, and importing the package and its CLI loads none of it.
@@ -48,6 +50,42 @@ def test_no_unused_import(path):
 def test_the_check_sees_an_unused_import():
     src = "from __future__ import annotations\nimport os\nfrom a import b, c as d\nd()\n"
     assert unused_imports(src) == [(2, "os"), (3, "b")]
+
+
+def unused_params(source):
+    """(line, name) of each parameter of a def or lambda that its body
+    never reads; self, cls and names starting with _ are exempt. An
+    augmented assignment reads its target."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = set()
+        for sub in (n for stmt in body for n in ast.walk(stmt)):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                read.add(sub.id)
+            elif isinstance(sub, ast.AugAssign) and isinstance(sub.target, ast.Name):
+                read.add(sub.target.id)
+        found += [(p.lineno, p.arg) for p in params
+                  if p.arg not in read and p.arg not in ("self", "cls")
+                  and not p.arg.startswith("_")]
+    return sorted(found)
+
+
+def test_every_parameter_is_read():
+    found = {p.name: unused_params(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_the_check_sees_an_unused_parameter():
+    src = ("def f(self, a, b, *args, c=1, _d=2, **kw):\n    return a + kw['x']\n"
+           "class K:\n    @classmethod\n    def g(cls, acc, t):\n"
+           "        acc += 1\n        h = lambda g, need: g\n"
+           "        def inner(): return t\n        return inner\n")
+    assert unused_params(src) == [(1, "args"), (1, "b"), (1, "c"), (7, "need")]
 
 
 def scipy_imports(source):
