@@ -111,7 +111,7 @@ class Linear(Block):
         self.b = param((cout,), "zeros")
 
     def forward(self, x):
-        return T.add_bias(T.matmul(x, self.w), self.b)
+        return T.matmul(x, self.w, self.b)
 
 
 class LayerNorm(Block):
@@ -315,5 +315,5 @@ class PatchEmbed(Block):
             raise ValueError(f"patch embed: spatial {x.shape[2:]} != {(g * p, g * p)}")
         x = T.transpose(x, (0, 1, 3, 2, 4), view=(x.shape[0], g, p, g, p),
                         shape=(x.shape[0], g * g, p * p))
-        tokens = T.add_bias(T.matmul(x, self.w), self.b)
+        tokens = T.matmul(x, self.w, self.b)
         return T.add_bias(tokens, self.pos)

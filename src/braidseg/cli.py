@@ -8,6 +8,7 @@ Exit codes: 0 ok, 1 usage error, 2 data error, 3 numeric failure
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import re
 import sys
@@ -19,6 +20,7 @@ from .data import (DataError, generate_dataset, load_checkpoint, load_manifest,
 from .evaluate import (ablate, ablation_csv, ablation_text, evaluate,
                        predict_mask, write_report)
 from .fusion import CycleError
+from .gradcheck import check_model
 from .model import ModelConfig, build_model
 from .train import NumericError, TrainConfig, train
 
@@ -64,6 +66,11 @@ def _int_list(text):
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}")
 
 
+def _default(fn, name):
+    """The default of fn's parameter name: the parser restates none."""
+    return inspect.signature(fn).parameters[name].default
+
+
 def build_parser():
     p = _Parser(prog="braidseg",
                 description="Two-branch coupled segmentation network, "
@@ -77,11 +84,11 @@ def build_parser():
     g.add_argument("--train", type=int, default=60)
     g.add_argument("--val", type=int, default=12)
     g.add_argument("--test", type=int, default=24)
-    g.add_argument("--size", type=int, default=64)
+    g.add_argument("--size", type=int, default=_default(generate_dataset, "size"))
     g.add_argument("--paired", action="store_true",
                    help="render each geometry in both domains")
-    g.add_argument("--domains", default="A,B",
-                   help="comma list of domains to render (default A,B)")
+    g.add_argument("--domains", default=",".join(_default(generate_dataset, "domains")),
+                   help="comma list of domains to render (default %(default)s)")
 
     t = sub.add_parser("train", prog="braidseg train",
                        help="train a model on a generated dataset")
@@ -117,9 +124,9 @@ def build_parser():
     c = sub.add_parser("gradcheck", prog="braidseg gradcheck",
                        help="finite-difference gradient audit of the model")
     c.add_argument("--config", default=None)
-    c.add_argument("--eps", type=float, default=1e-5)
-    c.add_argument("--tol", type=float, default=1e-4)
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--eps", type=float, default=_default(check_model, "h"))
+    c.add_argument("--tol", type=float, default=_default(check_model, "tol"))
+    c.add_argument("--seed", type=int, default=_default(check_model, "seed"))
 
     a = sub.add_parser("ablate", prog="braidseg ablate",
                        help="coupling-count sweep over (rfin, dkin)")
@@ -198,8 +205,6 @@ def _cmd_predict(args):
 
 
 def _cmd_gradcheck(args):
-    from .gradcheck import check_model
-
     cfg = _load_config(args.config)
     rows, max_err, seconds = check_model(cfg, seed=args.seed, h=args.eps,
                                          tol=args.tol, log=print)

@@ -8,20 +8,22 @@ grads(g): given the gradient g of the result, it returns one gradient
 per operand, or None for one that did not require grad (only matmul and
 conv2d skip work that way, for an image input). grads closes over
 the arrays it reads and nothing else: the inputs of mul, div, matmul,
-gelu, scale_channels and bce_with_logits, the output of sigmoid and
-softmax, the normalised input and inverse deviation of the norms, and a
-conv's column matrix. _make alone touches the graph: it gives the
+scale_channels and bce_with_logits, the output of sigmoid and softmax,
+gelu's slope, the normalised input and inverse deviation of the norms,
+and a conv's column matrix. _make alone touches the graph: it gives the
 result a node holding its operands' nodes and a rule that calls grads
 and flows each gradient into its node. A leaf that requires grad is its
 own node, and the graph holds no other Tensor: an intermediate result
 and its array are freed as soon as the forward code drops them, unless
-a gradient function reads the array. A default-config batch-2 forward
-pass plus loss keeps 19.8 MiB live (tracemalloc), against 36.3 MiB when
-every result held its parents. Tensor.backward() walks the nodes once
-in reverse topological order and accumulates gradients by summation at
-every use site. It swaps each node's rule for a spent one just before
-running it, so the arrays that rule read are freed as the walk passes,
-and a graph is differentiated once: a second backward() of it raises.
+a gradient function reads the array. A linear layer, matmul with a 2-d
+weight and a bias, is one node. A default-config batch-2 forward pass
+plus loss records 528 nodes and keeps 17.3 MiB live (tracemalloc),
+against 36.3 MiB when every result held its parents. Tensor.backward()
+walks the nodes once in reverse topological order and accumulates
+gradients by summation at every use site. It swaps each node's rule for
+a spent one just before running it, so the arrays that rule read are
+freed as the walk passes, and a graph is differentiated once: a second
+backward() of it raises.
 A leaf's final gradient either accumulates into its .grad or, given
 backward(step), goes to step(leaf, grad), which the training loop uses
 to update each parameter in place as soon as its gradient is complete.
@@ -29,9 +31,9 @@ to update each parameter in place as soon as its gradient is complete.
 Shape discipline: binary elementwise ops require identical shapes and
 dtypes. There is no implicit broadcasting. The only shape-expanding
 facilities are explicit ops whose gradient reductions are spelled out by
-hand (scale by a python scalar, add_bias over trailing axes,
-scale_channels, expand_batch). All shape errors are raised at op call
-time, never during backward.
+hand (scale by a python scalar, add_bias over trailing axes, matmul's
+bias, scale_channels, expand_batch). All shape errors are raised at op
+call time, never during backward.
 
 Forward-only passes run inside `with no_grad():`. Ops evaluated there
 return plain tensors with no node, and look up no operand's node, so
@@ -271,7 +273,7 @@ def no_grad():
 
 
 def _make(data, operands, grads):
-    """Wrap data in a new tensor and record its node.
+    """Wrap the array data in a new tensor and record its node.
 
     operands are the op's input tensors, and grads(g) returns one gradient
     per operand for the gradient g of the result; it may return None for
@@ -280,8 +282,14 @@ def _make(data, operands, grads):
     grads holds arrays only, never a tensor or a node. Inside no_grad(),
     or when no operand needs a gradient, nothing is recorded; a recorded
     result requires grad.
+
+    The result is built here, not through Tensor.__init__: every op hands
+    over a float array of its operands' dtype already. Only 0-d arithmetic
+    yields a numpy scalar, which becomes a 0-d array.
     """
-    out = Tensor(data)
+    if data.__class__ is not np.ndarray:
+        data = np.asarray(data)
+    node = None
     if _grad_mode.recording:
         nodes = tuple(map(_node_of, operands))
         if any(nodes):
@@ -291,8 +299,13 @@ def _make(data, operands, grads):
                     if node is not None:
                         _flow(seeds, node, d)
 
-            out.requires_grad = True
-            out._node = _Node(nodes, rule)
+            node = _Node(nodes, rule)
+    out = Tensor.__new__(Tensor)
+    out.data = data
+    out.requires_grad = node is not None
+    out._grad = None
+    out.init_kind = None
+    out._node = node
     return out
 
 
@@ -468,18 +481,18 @@ def gelu(x):
     """Exact Gauss-error-function GELU.
 
     erf is Cephes' rational form, evaluated in float64 and rounded to the
-    input's dtype (_erf).
+    input's dtype (_erf). A recorded result keeps only its slope
+    phi(z) + z pdf(z), computed here; under no_grad no slope is computed.
     """
     # python-float constants: a numpy float64 scalar would promote float32 z
     z = x.data
     phi = 0.5 * (1.0 + _erf(z / math.sqrt(2.0)))
     out = z * phi
-
-    def grads(g):
-        pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        return (g * (phi + z * pdf),)
-
-    return _make(out, (x,), grads)
+    if not (_grad_mode.recording and _node_of(x) is not None):
+        return _make(out, (x,), None)
+    pdf = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+    slope = phi + z * pdf
+    return _make(out, (x,), lambda g: (g * slope,))
 
 
 def softmax(x):
@@ -499,32 +512,45 @@ def softmax(x):
 # contractions
 # ---------------------------------------------------------------------
 
-def matmul(a, b):
-    """Matrix product of a [..., M, K] with b.
+def matmul(a, b, bias=None):
+    """Matrix product of a [..., M, K] with b, plus an optional bias.
 
     A 2-d b (a weight) is shared across a's batch, whose axes fold into
-    rows: one GEMM forward and one per gradient. Otherwise a and b need
-    the same rank and identical leading batch extents.
+    rows: one GEMM forward and one per gradient. With it, a bias [N] of a
+    [K, N] weight makes a @ b + bias one node, a linear layer; its
+    gradient sums g over the leading axes, as add_bias does. Otherwise a
+    and b need the same rank and identical leading batch extents.
     """
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul: operands must be >=2-d, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul: inner extents differ: {a.shape} @ {b.shape}")
-    if b.ndim > 2 and a.shape[:-2] != b.shape[:-2]:
-        raise ValueError(f"matmul: batch extents differ: {a.shape} @ {b.shape}")
-    if a.dtype != b.dtype:
-        raise ValueError(f"matmul: dtype mismatch {a.dtype} vs {b.dtype}")
-
     ad, bd = a.data, b.data
-    if b.ndim == 2:
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise ValueError(f"matmul: operands must be >=2-d, got {ad.shape} and {bd.shape}")
+    if ad.shape[-1] != bd.shape[-2]:
+        raise ValueError(f"matmul: inner extents differ: {ad.shape} @ {bd.shape}")
+    if bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
+        raise ValueError(f"matmul: batch extents differ: {ad.shape} @ {bd.shape}")
+    if ad.dtype != bd.dtype:
+        raise ValueError(f"matmul: dtype mismatch {ad.dtype} vs {bd.dtype}")
+    if bias is not None:
+        cd = bias.data
+        if bd.ndim != 2 or cd.shape != bd.shape[1:]:
+            raise ValueError(f"matmul: bias shape {cd.shape} does not fit weight {bd.shape}")
+        if cd.dtype != bd.dtype:
+            raise ValueError(f"matmul: dtype mismatch {bd.dtype} vs bias {cd.dtype}")
+
+    if bd.ndim == 2:
         a2 = ad.reshape(-1, ad.shape[-1])
+        out = (a2 @ bd).reshape(ad.shape[:-1] + bd.shape[1:])
         need_a = a.requires_grad   # the patch embedding's input, the image, needs none
 
         def grads(g):
             g2 = g.reshape(a2.shape[0], -1)
             return (g2 @ bd.T).reshape(ad.shape) if need_a else None, a2.T @ g2
 
-        return _make((a2 @ bd).reshape(ad.shape[:-1] + bd.shape[1:]), (a, b), grads)
+        if bias is None:
+            return _make(out, (a, b), grads)
+        out += cd
+        return _make(out, (a, b, bias),
+                     lambda g: (*grads(g), g.sum(axis=tuple(range(g.ndim - 1)))))
 
     return _make(np.matmul(ad, bd), (a, b), lambda g: (
         np.matmul(g, np.swapaxes(bd, -1, -2)), np.matmul(np.swapaxes(ad, -1, -2), g)))

@@ -1,11 +1,12 @@
 """Memory a recorded graph keeps alive for backward and the peak of a
-short training run, seen by tracemalloc, and a helper that reads what an
-op handed to the graph.
+short training run, seen by tracemalloc, and helpers that list the
+recorded ops and read what an op handed to the graph.
 
     PYTHONPATH=src python3 tests/graphmem.py
 
-prints the figures for one default-config batch-2 forward pass plus loss
-and for a default-config train() of four iterations.
+prints the figures and the recorded op count for one default-config
+batch-2 forward pass plus loss, and the peak of a default-config train()
+of four iterations.
 """
 
 import tempfile
@@ -15,7 +16,20 @@ import numpy as np
 
 from braidseg.data import generate_dataset, select
 from braidseg.model import ModelConfig, build_model
+from braidseg.tensor import _topo_order
 from braidseg.train import TrainConfig, seg_loss, train
+
+
+def forward_inputs(cfg=None, batch=2, seed=0):
+    """A model of cfg (default ModelConfig()) and one random batch:
+    (net, x_c images, x_s images, target masks)."""
+    cfg = cfg or ModelConfig()
+    net = build_model(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    xc = rng.random((batch, 1, cfg.x_c, cfg.x_c), dtype=np.float32)
+    xs = rng.random((batch, 1, cfg.x_s, cfg.x_s), dtype=np.float32)
+    target = (rng.random(xc.shape) > 0.5).astype(np.float32)
+    return net, xc, xs, target
 
 
 def live_graph_mib(cfg=None, batch=2, seed=0):
@@ -25,12 +39,7 @@ def live_graph_mib(cfg=None, batch=2, seed=0):
     figure is what the graph keeps for backward: the arrays its rules read
     and the nodes themselves.
     """
-    cfg = cfg or ModelConfig()
-    net = build_model(cfg, seed=seed)
-    rng = np.random.default_rng(seed)
-    xc = rng.random((batch, 1, cfg.x_c, cfg.x_c), dtype=np.float32)
-    xs = rng.random((batch, 1, cfg.x_s, cfg.x_s), dtype=np.float32)
-    target = (rng.random(xc.shape) > 0.5).astype(np.float32)
+    net, xc, xs, target = forward_inputs(cfg, batch, seed)
     tracemalloc.start()
     try:
         loss = seg_loss(net.forward(xc, xs), target)    # held: its graph is live
@@ -38,6 +47,12 @@ def live_graph_mib(cfg=None, batch=2, seed=0):
     finally:
         tracemalloc.stop()
     return live / 2**20
+
+
+def recorded_ops(loss):
+    """The nodes of the ops recorded below loss, parents first; the leaves
+    are left out."""
+    return [n for n in _topo_order(loss) if n._backward is not None]
 
 
 def train_peak_mib(epochs=4, seed=0):
@@ -74,3 +89,6 @@ def op_grads(node):
 if __name__ == "__main__":
     print(f"live graph, default config, batch 2, forward plus loss: {live_graph_mib():.2f} MiB")
     print(f"train() peak, default config, batch 2, four iterations: {train_peak_mib():.2f} MiB")
+    net, xc, xs, target = forward_inputs()
+    print(f"recorded ops, default config, batch 2, forward plus loss: "
+          f"{len(recorded_ops(seg_loss(net.forward(xc, xs), target)))}")

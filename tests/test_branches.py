@@ -11,9 +11,9 @@ from braidseg.domain import N_LAYERS, DomainBranch
 from braidseg.fusion import final_fuse
 from braidseg.model import ModelConfig, build_model
 from braidseg.prior import PriorBranch
-from braidseg.tensor import Tensor, _topo_order
+from braidseg.tensor import Tensor
 from braidseg.train import seg_loss
-from graphmem import live_graph_mib, op_grads, train_peak_mib
+from graphmem import forward_inputs, live_graph_mib, op_grads, recorded_ops, train_peak_mib
 
 TINY = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32, window=2,
                    rfin_count=2, dkin_count=2)
@@ -156,34 +156,49 @@ class TestDomainBranch:
 
 
 class TestRecordedGraph:
+    @staticmethod
+    def default_graph():
+        """A default-config model and the ops its batch-2 forward pass plus
+        loss records."""
+        net, xc, xs, target = forward_inputs(ModelConfig(), batch=2)
+        return net, recorded_ops(seg_loss(net.forward(xc, xs), target))
+
+    @staticmethod
+    def op(n):
+        return op_grads(n).__qualname__.partition(".")[0]
+
     def test_each_token_move_is_one_node(self):
         """A default-config batch-2 forward pass plus loss records at most
         640 ops, and no reshape or transpose feeds another: each move
         between the sequence, head and window layouts is one node."""
-        cfg = ModelConfig()
-        net = build_model(cfg, seed=0)
-        rng = np.random.default_rng(0)
-        xc = rng.random((2, 1, cfg.x_c, cfg.x_c), dtype=np.float32)
-        xs = rng.random((2, 1, cfg.x_s, cfg.x_s), dtype=np.float32)
-        target = (rng.random(xc.shape) > 0.5).astype(np.float32)
-        ops = [n for n in _topo_order(seg_loss(net.forward(xc, xs), target))
-               if n._backward is not None]
-
-        def op(n):
-            return op_grads(n).__qualname__.partition(".")[0]
+        _, ops = self.default_graph()
 
         def moves(n):
-            return n is not None and n._backward is not None and op(n) in ("reshape", "transpose")
+            return n is not None and n._backward is not None and self.op(n) in ("reshape", "transpose")
 
         assert sum(map(moves, ops)) > 0         # the check below is not vacuous
-        assert [op(n) for n in ops if moves(n) and any(map(moves, n._parents))] == []
+        assert [self.op(n) for n in ops if moves(n) and any(map(moves, n._parents))] == []
         assert len(ops) <= 640
+
+    def test_each_linear_layer_is_one_node(self):
+        """x @ W + b of every linear layer and of the patch embedding is one
+        matmul node with the bias as its third operand, so no add_bias node
+        adds one of their biases: 528 ops, against 633 when each also
+        recorded an add_bias."""
+        net, ops = self.default_graph()
+        params = dict(net.named_params())
+        biases = {id(p) for name, p in params.items() if name.endswith(".b")
+                  and getattr(params.get(name[:-1] + "w"), "ndim", 0) == 2}
+        fused = {id(n._parents[2]) for n in ops if self.op(n) == "matmul" and len(n._parents) == 3}
+        added = {id(p) for n in ops if self.op(n) == "add_bias" for p in n._parents}
+        assert len(biases) > 100 and fused == biases and not added & biases
+        assert len(ops) <= 528
 
     def test_the_live_graph_stays_under_21_mib(self):
         """A default-config batch-2 forward pass plus loss keeps 36.25 MiB
-        alive (tracemalloc) when every result holds its parents, and
-        19.72 MiB when the graph holds only nodes and the arrays its rules
-        read."""
+        alive (tracemalloc) when every result holds its parents, 19.72 MiB
+        when the graph holds only nodes and the arrays its rules read, and
+        17.33 MiB when gelu keeps its slope instead of its input."""
         assert live_graph_mib(ModelConfig(), batch=2) < 21.0
 
     def test_the_train_peak_stays_under_32_mib(self):
@@ -191,5 +206,6 @@ class TestRecordedGraph:
         41.07 MiB (tracemalloc) when backward fills a gradient buffer per
         parameter and keeps every rule's arrays until it returns, and at
         28.67 MiB when each parameter steps inside backward and each rule's
-        arrays are freed as the walk passes it."""
+        arrays are freed as the walk passes it, and at 26.51 MiB when gelu
+        keeps its slope instead of its input."""
         assert train_peak_mib() < 32.0

@@ -1,6 +1,7 @@
 """Exit codes and end-to-end wiring of the command-line tool."""
 
 import argparse
+import inspect
 import json
 import os
 import shutil
@@ -9,7 +10,8 @@ import numpy as np
 import pytest
 
 from braidseg.cli import _int_list, build_parser, main
-from braidseg.data import read_pgm
+from braidseg.data import generate_dataset, read_pgm
+from braidseg.gradcheck import check_model
 from braidseg.model import ModelConfig
 from braidseg.train import TrainConfig
 
@@ -59,6 +61,24 @@ class TestParsing:
         monkeypatch.setattr(TrainConfig, "validate", stop)
         assert main(["train", "--data", "d", "--out", "o"]) == 1
         assert seen == [TrainConfig()]
+
+    @staticmethod
+    def move_defaults(monkeypatch, fn, **new):
+        """Give fn other defaults for the parameters named in new."""
+        names = [p.name for p in inspect.signature(fn).parameters.values()
+                 if p.default is not p.empty]
+        defaults = dict(zip(names, fn.__defaults__), **new)
+        monkeypatch.setattr(fn, "__defaults__", tuple(defaults[n] for n in names))
+
+    def test_gradcheck_defaults_are_check_model_s(self, monkeypatch):
+        self.move_defaults(monkeypatch, check_model, seed=3, h=2e-6, tol=5e-3)
+        args = build_parser().parse_args(["gradcheck"])
+        assert (args.seed, args.eps, args.tol) == (3, 2e-6, 5e-3)
+
+    def test_gen_data_defaults_are_generate_dataset_s(self, monkeypatch):
+        self.move_defaults(monkeypatch, generate_dataset, size=32, domains=("B",))
+        args = build_parser().parse_args(["gen-data", "--out", "o"])
+        assert (args.size, args.domains) == (32, "B")
 
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 1

@@ -6,6 +6,7 @@ away from activation kinks so the numeric side is well defined.
 """
 
 import ast
+import contextlib
 import math
 import sys
 import threading
@@ -194,6 +195,51 @@ class TestForward:
         ref = np.stack([np.stack([np.matmul(a[i, j], w) for j in range(3)]) for i in range(2)])
         assert out.shape == (2, 3, 5, 6)
         assert np.max(np.abs(out - ref)) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matmul_with_bias_is_matmul_then_add_bias_bit_for_bit(self, dtype):
+        """One node computes the folded GEMM, then + b; b's gradient sums g
+        over the unfolded leading axes, as add_bias does. The transpose
+        after it hands back a non-contiguous g, whose sum over the folded
+        rows would round differently."""
+        rng = np.random.default_rng(9)
+        arrays = [rng.normal(size=s).astype(dtype) for s in ((2, 7, 5, 8), (8, 6), (6,))]
+        weights = T.Tensor(rng.normal(size=(6, 5, 7, 2)).astype(dtype))
+        one = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        two = [T.Tensor(a.copy(), requires_grad=True) for a in arrays]
+        fused = T.matmul(*one)
+        split = T.add_bias(T.matmul(two[0], two[1]), two[2])
+        assert fused.dtype == dtype and np.array_equal(fused.data, split.data)
+        for out in (fused, split):
+            T.tensor_sum(T.mul(T.transpose(out, (3, 2, 1, 0)), weights)).backward()
+        for p, q in zip(one, two):
+            assert np.array_equal(p.grad, q.grad)
+
+    def test_matmul_checks_its_bias_at_call_time(self):
+        x = T.Tensor(np.zeros((2, 3, 4), dtype=np.float32), requires_grad=True)
+        w = T.Tensor(np.zeros((4, 5), dtype=np.float32), requires_grad=True)
+        for bias in (np.zeros(4, np.float32), np.zeros((1, 5), np.float32)):
+            with pytest.raises(ValueError, match="^matmul: bias shape"):
+                T.matmul(x, w, T.Tensor(bias))
+        with pytest.raises(ValueError, match="^matmul: dtype mismatch"):
+            T.matmul(x, w, T.Tensor(np.zeros(5, np.float64)))
+        with pytest.raises(ValueError, match="^matmul: bias shape"):     # a batched b takes none
+            T.matmul(x, T.Tensor(np.zeros((2, 4, 5), np.float32)), T.Tensor(np.zeros(5, np.float32)))
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_matmul_computes_no_gradient_for_an_image(self, bias):
+        """An input that needs no gradient, such as the image the patch
+        embedding reads, gets None from the rule and costs no GEMM."""
+        rng = np.random.default_rng(10)
+        image = T.Tensor(rng.normal(size=(2, 3, 4)))
+        w = T.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        b = T.Tensor(rng.normal(size=5), requires_grad=True)
+        out = T.matmul(image, w, b) if bias else T.matmul(image, w)
+        grads = op_grads(out._node)(np.ones(out.shape))
+        assert grads[0] is None and grads[1].shape == (4, 5)
+        assert len(grads) == 2 + bias and (not bias or grads[2].shape == (5,))
+        out = T.matmul(T.Tensor(image.data, requires_grad=True), w, b)
+        assert op_grads(out._node)(np.ones(out.shape))[0].shape == (2, 3, 4)
 
     def test_matmul_inner_mismatch(self):
         a = T.Tensor(np.zeros((3, 4), dtype=np.float32))
@@ -473,18 +519,76 @@ class TestBackwardMechanics:
 
 
     def test_backward_frees_a_rule_s_arrays_as_it_passes(self):
-        """gelu's rule keeps its input alive until backward has run it;
+        """mul's rule keeps its inputs alive until backward has run it;
         by the time the walk reaches the leaf that array is gone, while
         the loss is still held."""
         x = T.Tensor(rand(3, 4, seed=7), requires_grad=True)
         h = T.scale(x, 2.0)
         alive = weakref.ref(h.data)
-        loss = T.tensor_sum(T.gelu(h))
+        loss = T.tensor_sum(T.mul(h, h))
         del h
         assert alive() is not None
         at_leaf = []
         loss.backward(lambda leaf, g: at_leaf.append(alive()))
         assert at_leaf == [None] and alive() is None and loss.data.size == 1
+
+
+# one call of every public op: (name, op, operand shapes); the 0-d calls
+# are those whose numpy arithmetic returns a scalar, not an array
+OP_CALLS = [
+    ("add", T.add, [(2, 3), (2, 3)]),
+    ("add", T.add, [(), ()]),
+    ("sub", T.sub, [(), ()]),
+    ("mul", T.mul, [(), ()]),
+    ("div", T.div, [(), ()]),
+    ("scale", lambda x: T.scale(x, 1.5), [()]),
+    ("add_bias", T.add_bias, [(2, 3), (3,)]),
+    ("add_bias", T.add_bias, [(), ()]),
+    ("leaky_relu", T.leaky_relu, [()]),
+    ("relu", T.relu, [()]),
+    ("sigmoid", T.sigmoid, [()]),
+    ("gelu", T.gelu, [(2, 3)]),
+    ("gelu", T.gelu, [()]),
+    ("softmax", T.softmax, [(2, 3)]),
+    ("matmul", T.matmul, [(2, 3, 4), (4, 5)]),
+    ("matmul", T.matmul, [(2, 3, 4), (4, 5), (5,)]),
+    ("matmul", T.matmul, [(2, 3, 4), (2, 4, 5)]),
+    ("conv2d", lambda x, w, b: T.conv2d(x, w, b, padding=1), [(1, 2, 4, 4), (3, 2, 3, 3), (3,)]),
+    ("conv_transpose2d", T.conv_transpose2d, [(1, 2, 3, 3), (2, 3, 2, 2), (3,)]),
+    ("layer_norm", T.layer_norm, [(2, 3), (3,), (3,)]),
+    ("instance_norm", T.instance_norm, [(1, 2, 3, 3), (2,), (2,)]),
+    ("reshape", lambda x: T.reshape(x, ()), [(1, 1)]),
+    ("transpose", lambda x: T.transpose(x, (1, 0)), [(2, 3)]),
+    ("concat", lambda a, b: T.concat([a, b], 0), [(2, 3), (1, 3)]),
+    ("narrow", lambda x: T.narrow(x, 1, 1, 2), [(2, 3)]),
+    ("expand_batch", lambda x: T.expand_batch(x, 2), [(1, 3)]),
+    ("global_avg_pool", T.global_avg_pool, [(1, 2, 3, 3)]),
+    ("scale_channels", T.scale_channels, [(1, 2, 3, 3), (1, 2, 1, 1)]),
+    ("tensor_sum", T.tensor_sum, [(2, 3)]),
+    ("bce_with_logits", T.bce_with_logits, [(), ()]),
+    ("tokens_to_map", T.tokens_to_map, [(1, 4, 3)]),
+    ("map_to_tokens", T.map_to_tokens, [(1, 3, 2, 2)]),
+]
+
+
+class TestOpResults:
+    """_make wraps what an op computed without Tensor.__init__'s checks,
+    so every op must hand it an array of its operands' dtype."""
+
+    def test_every_public_op_is_called(self):
+        assert {name for name, _, _ in OP_CALLS} == set(T.__all__) - {"Tensor"}
+
+    @pytest.mark.parametrize("name,op,shapes", OP_CALLS,
+                             ids=[f"{n}-{'x'.join(map(str, s[0])) or '0d'}" for n, _, s in OP_CALLS])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_returns_an_array_of_the_operands_dtype(self, name, op, shapes, dtype):
+        arrays = [rand(*s, seed=i, lo=0.5, hi=2.0).astype(dtype) for i, s in enumerate(shapes)]
+        for recording in (True, False):
+            with contextlib.nullcontext() if recording else T.no_grad():
+                out = op(*(T.Tensor(a, requires_grad=True) for a in arrays))
+            assert type(out) is T.Tensor and type(out.data) is np.ndarray, name
+            assert out.dtype == dtype and out.requires_grad == recording
+            assert (out._node is not None) == recording and out._grad is None
 
 
 class TestGradBuffers:
@@ -626,15 +730,35 @@ class TestWhatTheGraphKeeps:
         T.tensor_sum(y).backward()
         assert np.array_equal(b.grad, np.full(5, 6.0))
 
-    def test_add_bias_feeding_gelu_keeps_the_gelu_input(self):
+    def test_gelu_drops_its_input_and_keeps_its_slope(self):
+        """gelu's rule reads its slope, computed in the forward pass, and
+        not its input; the slope lives until the graph is dropped."""
         x, w, b = self.linear_inputs()
-        h = T.add_bias(T.matmul(x, w), b)
+        h = T.matmul(x, w, b)
         alive = weakref.ref(h.data)
-        y = T.gelu(h)                 # gelu's rule reads its input
-        del h
-        assert alive() is not None
+        y = T.gelu(h)
+        grads = op_grads(y._node)
+        assert grads.__code__.co_freevars == ("slope",)
+        slope = weakref.ref(grads.__closure__[0].cell_contents)
+        del h, grads
+        assert alive() is None and slope() is not None
         del y
-        assert alive() is None        # and lets go of it with the graph
+        assert slope() is None
+
+    def test_gelu_computes_no_slope_it_would_not_keep(self, monkeypatch):
+        seen, real_make = [], T._make
+
+        def spy(data, operands, grads):
+            seen.append(grads)
+            return real_make(data, operands, grads)
+
+        monkeypatch.setattr(T, "_make", spy)
+        x = T.Tensor(rand(2, 3, seed=8), requires_grad=True)
+        with T.no_grad():
+            T.gelu(x)
+        T.gelu(T.Tensor(x.data))            # recording, but nothing needs a gradient
+        T.gelu(x)
+        assert seen[:2] == [None, None] and seen[2] is not None
 
     def test_no_rule_closes_over_a_recorded_tensor(self):
         from braidseg.model import ModelConfig, build_model
@@ -741,6 +865,11 @@ class TestFiniteDifferences:
     def test_matmul_batched_times_2d(self, wrt):
         a, b = rand(2, 3, 4, seed=21), rand(4, 5, seed=22)
         assert check_op(T.matmul, (a, b), wrt) < LIN_TOL
+
+    @pytest.mark.parametrize("wrt", [0, 1, 2])
+    def test_matmul_with_bias(self, wrt):
+        a, w, b = rand(2, 3, 4, seed=54), rand(4, 5, seed=55), rand(5, seed=56)
+        assert check_op(T.matmul, (a, w, b), wrt) < LIN_TOL
 
     @pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 1)])
     @pytest.mark.parametrize("wrt", [0, 1, 2])
