@@ -36,12 +36,9 @@ class Block:
                     out.append((name, val))
             elif isinstance(val, Block):
                 out.extend(val.named_params(name + "."))
-            elif isinstance(val, (list, tuple)):
+            elif isinstance(val, list):
                 for i, item in enumerate(val):
-                    if isinstance(item, Block):
-                        out.extend(item.named_params(f"{name}.{i}."))
-                    elif isinstance(item, Tensor) and item.requires_grad:
-                        out.append((f"{name}.{i}", item))
+                    out.extend(item.named_params(f"{name}.{i}."))
         return out
 
     def zero_grad(self):

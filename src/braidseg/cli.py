@@ -209,7 +209,7 @@ def _cmd_gradcheck(args):
     rows, max_err, seconds = check_model(cfg, seed=args.seed, h=args.eps,
                                          tol=args.tol, log=print)
     bad = [(name, max(e_dir, e_probe)) for name, _, e_dir, e_probe in rows
-           if max(e_dir, e_probe) > args.tol]
+           if not max(e_dir, e_probe) < args.tol]   # the log's own test
     print(f"checked {len(rows)} parameter tensors in {seconds:.1f}s, "
           f"max relative error {max_err:.3e} (tol {args.tol:g})")
     if bad:

@@ -44,18 +44,29 @@ class DataError(ValueError):
     """Malformed or missing dataset / checkpoint content."""
 
 
-def read_json(path):
-    """Parse a JSON file; an unreadable path, text that is not UTF-8 or
-    invalid JSON raises DataError."""
+def _read_text(path):
+    """A file's text; an unreadable path or non-UTF-8 bytes raise DataError."""
     try:
-        with open(path) as f:
-            return json.load(f)
+        with open(path, encoding="utf-8") as f:
+            return f.read()
     except OSError as e:
         raise DataError(f"cannot read {path}: {e}") from None
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text ({e})") from None
-    except json.JSONDecodeError as e:
-        raise DataError(f"{path}: invalid JSON ({e})") from None
+
+
+def _decode(text, where):
+    """Parse JSON text; what the parser refuses raises DataError naming
+    `where`, a too-long integer (ValueError) or deep nesting too."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:
+        raise DataError(f"{where}: invalid JSON ({e})") from None
+
+
+def read_json(path):
+    """Parse a JSON file; any fault of the file raises DataError."""
+    return _decode(_read_text(path), path)
 
 
 # ---------------------------------------------------------------------
@@ -129,10 +140,7 @@ class Sample:
 
     @classmethod
     def from_json(cls, line):
-        try:
-            d = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DataError(f"manifest line is not JSON ({e}): {line.strip()}") from None
+        d = _decode(line, f"manifest line {line.strip()}")
         if not isinstance(d, dict):
             raise DataError(f"manifest record is not a JSON object: {line.strip()}")
         required = {"id", "image", "mask", "class", "domain", "split"}
@@ -162,17 +170,9 @@ def load_manifest(root):
     path = os.path.join(root, "manifest.jsonl")
     if not os.path.exists(path):
         raise DataError(f"no manifest.jsonl under {root}")
-    out = []
-    try:
-        with open(path) as f:
-            for line in f:
-                if line.strip():
-                    out.append(Sample.from_json(line))
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from None
-    except UnicodeDecodeError as e:
-        raise DataError(f"{path}: not UTF-8 text ({e})") from None
-    return out
+    # not splitlines(): it also breaks at U+2028, which a JSON string may hold
+    return [Sample.from_json(line) for line in _read_text(path).split("\n")
+            if line.strip()]
 
 
 def select(samples, split=None, domain=None):
@@ -232,9 +232,9 @@ def make_views(image, cfg):
 # phantom generation
 # ---------------------------------------------------------------------
 
-def _smooth_noise(rng, size, coarse=8, amp=1.0):
-    grid = rng.uniform(0.0, 1.0, size=(coarse, coarse)).astype(np.float32)
-    return amp * bilinear_resize(grid, size)
+def _smooth_noise(rng, size):
+    grid = rng.uniform(0.0, 1.0, size=(8, 8)).astype(np.float32)
+    return bilinear_resize(grid, size)
 
 
 def _radius(theta, r0, a, phi):

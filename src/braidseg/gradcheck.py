@@ -40,11 +40,13 @@ def check_model(cfg, seed=0, h=1e-5, tol=1e-4, log=None):
     any retry; a non-finite error (a NaN or inf gradient or loss) is
     stored as inf, so that every comparison against a tolerance fails.
     `log` receives one line per tensor with both errors, and the first
-    probe error when a retry ran.
+    probe error when a retry ran. An h or tol that is not finite and
+    above 0 raises ValueError.
 
-    A forward-only pass after the backward keeps the loop state before
-    each plan step and the fused map. Every later loss evaluation perturbs
-    one tensor and resumes at the first step that reads it
+    The recorded pass keeps the loop state before each plan step and the
+    fused map; its backward spends every rule, so those states hold only
+    the arrays a forward-only pass would. Every later loss evaluation
+    perturbs one tensor and resumes at the first step that reads it
     (BraidNet.resume_steps): the decoder alone for the prompt and decoder
     tensors, the whole forward for the embedding. The steps it skips would
     have produced the saved bits, so every row equals the one a whole
@@ -61,6 +63,8 @@ def check_model(cfg, seed=0, h=1e-5, tol=1e-4, log=None):
     from .model import build_model
     from .train import seg_loss
 
+    if not (0.0 < h < np.inf and 0.0 < tol < np.inf):      # NaN fails too
+        raise ValueError(f"check_model: h {h!r} and tol {tol!r} must be finite and above 0")
     t0 = time.perf_counter()
     model = build_model(cfg, seed=seed, dtype=np.float64)
     for name, p in model.named_params():
@@ -76,12 +80,9 @@ def check_model(cfg, seed=0, h=1e-5, tol=1e-4, log=None):
     target = (((yy - cfg.x_c / 2) ** 2 + (xx - cfg.x_c / 2) ** 2)
               < (cfg.x_c / 4) ** 2).astype(np.float64)[None, None]
 
-    loss = seg_loss(model.forward(xc, xs), target)
-    loss.backward()
-
     saved = []
-    with no_grad():
-        fused = model.encode(xc, xs, saved=saved)
+    fused = model.encode(xc, xs, saved=saved)
+    seg_loss(model.decode(fused), target).backward()
     resume = model.resume_steps()
 
     def loss_at(name):

@@ -143,10 +143,10 @@ class BraidNet(Block):
         for k, step in enumerate(steps):
             for block in step.blocks(self):
                 for _, p in block.named_params():
-                    first.setdefault(id(p), k)
+                    first.setdefault(p, k)
         for _, p in self.prompt.named_params() + self.decoder.named_params():
-            first.setdefault(id(p), len(steps))
-        return {name: first.get(id(p)) for name, p in self.named_params()}
+            first.setdefault(p, len(steps))
+        return {name: first.get(p) for name, p in self.named_params()}
 
     def _as_input(self, x, extent, name):
         if isinstance(x, Tensor):

@@ -23,10 +23,11 @@ walks the nodes once in reverse topological order and accumulates
 gradients by summation at every use site. It swaps each node's rule for
 a spent one just before running it, so the arrays that rule read are
 freed as the walk passes, and a graph is differentiated once: a second
-backward() of it raises.
-A leaf's final gradient either accumulates into its .grad or, given
-backward(step), goes to step(leaf, grad), which the training loop uses
-to update each parameter in place as soon as its gradient is complete.
+backward() of it raises. Each leaf's final gradient goes to backward's
+step(leaf, grad): by default _accumulate, which adds it into .grad; the
+training loop's step updates each parameter in place as soon as its
+gradient is complete. backward keys its sets and dicts by node, so
+Tensor and _Node keep identity hashing: neither may define __eq__.
 
 Shape discipline: binary elementwise ops require identical shapes and
 dtypes. There is no implicit broadcasting. The only shape-expanding
@@ -70,6 +71,11 @@ __all__ = [
 
 # dtype instances: comparing against the scalar types converts them per call
 _FLOAT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+def _accumulate(leaf, g):
+    """backward()'s default step: add g into leaf.grad, zeros on first use."""
+    leaf.grad += g
 
 
 class Tensor:
@@ -160,8 +166,8 @@ class Tensor:
         else:
             self._grad = None
 
-    def backward(self, step=None):
-        """Accumulate d(self)/d(leaf) into every reachable leaf's .grad.
+    def backward(self, step=_accumulate):
+        """Hand d(self)/d(leaf) to step(leaf, g) for every reachable leaf.
 
         self must hold a single scalar (the loss). Traversal is a single
         pass over the recorded nodes in exact reverse topological order;
@@ -171,11 +177,11 @@ class Tensor:
         walk passes and makes a second backward() of this graph raise
         RuntimeError.
 
-        With step, each reached leaf that requires grad gets step(leaf, g)
-        once, with its final gradient g, instead of .grad += g. step may
-        update leaf.data in place: every rule that reads a leaf's array
-        belongs to one of its consumers, and the reverse topological order
-        runs all of them before the leaf.
+        Each reached leaf that requires grad gets step(leaf, g) once, with
+        its final gradient g; the default step, _accumulate, adds g into
+        .grad. step may update leaf.data in place: every rule that reads a
+        leaf's array belongs to one of its consumers, and the reverse
+        topological order runs all of them before the leaf.
         """
         if self.size != 1:
             raise ValueError(f"backward: loss must be scalar, got shape {self.shape}")
@@ -183,22 +189,15 @@ class Tensor:
             raise ValueError("backward: the loss has no graph (computed under no_grad, "
                              "or from tensors that require no gradient)")
         order = _topo_order(self)
-        seeds = {id(order[-1]): np.ones_like(self.data)}
+        seeds = {order[-1]: np.ones_like(self.data)}
         for node in reversed(order):
-            g = seeds.pop(id(node), None)
-            if g is None:
-                continue
+            g = seeds.pop(node)         # every consumer's rule flowed into it
             rule = node._backward
-            if rule is not None:
-                node._backward = _spent
-                rule(g, seeds)
-            elif step is not None:
+            if rule is None:
                 step(node, g)
             else:
-                # fold the flow into the persistent buffer (zeros on first
-                # use, so the first flow lands as 0 + g)
-                buf = node.grad
-                buf += g
+                node._backward = _spent
+                rule(g, seeds)
 
 
 def _spent(*_):
@@ -235,23 +234,22 @@ def _topo_order(root):
         if done:
             order.append(node)
             continue
-        if id(node) in seen:
+        if node in seen:
             continue
-        seen.add(id(node))
+        seen.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if p is not None and id(p) not in seen:
+            if p is not None and p not in seen:
                 stack.append((p, False))
     return order
 
 
 def _flow(seeds, node, g):
     """Accumulate gradient g into node's slot in the per-backward dict."""
-    k = id(node)
-    if k in seeds:
-        seeds[k] = seeds[k] + g
+    if node in seeds:
+        seeds[node] = seeds[node] + g
     else:
-        seeds[k] = g
+        seeds[node] = g
 
 
 class _GradMode(threading.local):

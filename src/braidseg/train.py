@@ -185,7 +185,7 @@ def train(model, root, samples, cfg, out_dir=None, log=None):
     params = model.named_params()
 
     def step(p, g):
-        name = unreached.pop(id(p))[0]
+        name = unreached.pop(p)
         sgd_update(p, g, state.vel(name, p.data), lr, cfg.momentum, cfg.weight_decay)
 
     rows = [("iteration", "epoch", "lr", "loss")]
@@ -217,10 +217,10 @@ def train(model, root, samples, cfg, out_dir=None, log=None):
                 raise NumericError(
                     f"non-finite loss {loss_val} at iteration {iteration + 1} "
                     f"(epoch {epoch}, lr {lr:g})")
-            unreached = {id(p): (name, p) for name, p in params}
+            unreached = {p: name for name, p in params}
             loss.backward(step)
             del logits, loss        # free this step's graph before the next forward
-            for name, p in unreached.values():
+            for p, name in unreached.items():
                 sgd_update(p, np.zeros_like(p.data), state.vel(name, p.data), lr,
                            cfg.momentum, cfg.weight_decay)
             # no buffer to clear unless the caller made one; the benchmark's

@@ -12,6 +12,7 @@ from braidseg.blocks import (Attention, Block, Conv, InstanceNorm, LayerNorm,
                              TransformerBlock, _trunc_normal, init_params,
                              param, stable_hash, window_merge, window_partition)
 from braidseg.model import BraidNet, ModelConfig, build_model
+from test_decoder import GRADCHECK_CFG
 
 
 def rand(rng, *shape, dtype=np.float32):
@@ -330,9 +331,6 @@ class CountingRng:
         return self.rng.normal(*args, **kwargs)
 
 
-AUDIT_SIZED = ModelConfig(m=3, C=12, C_c=8, C_d=8, heads=3, x_c=16, x_s=64, window=2)
-
-
 class TestOnePassBuild:
     """build_model draws every parameter at its final precision in one pass,
     bit for bit as the two-phase reference does."""
@@ -340,8 +338,8 @@ class TestOnePassBuild:
     @pytest.mark.parametrize("seed", [0, 7, 2**32 + 3, 2**40])
     @pytest.mark.parametrize("couplers", [(3, 3), (0, 0)])
     @pytest.mark.parametrize("cfg, dtype", [(ModelConfig(), np.float32),
-                                            (AUDIT_SIZED, np.float32),
-                                            (AUDIT_SIZED, np.float64)],
+                                            (GRADCHECK_CFG, np.float32),
+                                            (GRADCHECK_CFG, np.float64)],
                              ids=["default-f32", "audit-f32", "audit-f64"])
     def test_matches_the_two_phase_build(self, cfg, dtype, couplers, seed):
         cfg = replace(cfg, rfin_count=couplers[0], dkin_count=couplers[1])
@@ -354,7 +352,7 @@ class TestOnePassBuild:
 
     def test_a_negative_seed_is_refused(self):
         with pytest.raises(ValueError, match="non-negative"):
-            build_model(AUDIT_SIZED, seed=-1)
+            build_model(GRADCHECK_CFG, seed=-1)
 
     @pytest.mark.parametrize("shape, seeds", [((400, 500), [0]), ((1,), range(60))])
     def test_trunc_normal_redraws_as_the_full_rescan(self, shape, seeds):

@@ -198,7 +198,8 @@ class TestRecordedGraph:
         """A default-config batch-2 forward pass plus loss keeps 36.25 MiB
         alive (tracemalloc) when every result holds its parents, 19.72 MiB
         when the graph holds only nodes and the arrays its rules read, and
-        17.33 MiB when gelu keeps its slope instead of its input."""
+        17.33 MiB when gelu keeps its slope instead of its input; 17.24 MiB
+        once a first forward pass has run before tracing, as it now does."""
         assert live_graph_mib(ModelConfig(), batch=2) < 21.0
 
     def test_the_train_peak_stays_under_32_mib(self):

@@ -308,6 +308,32 @@ class TestGradcheckCommand:
         assert rc == 3
         assert "numeric failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--eps", "0"], ["--eps", "-1e-5"], ["--eps", "inf"],
+                                       ["--tol", "nan"], ["--tol", "0"]],
+                             ids=["eps-0", "eps-negative", "eps-inf", "tol-nan", "tol-0"])
+    def test_a_flag_that_would_void_the_gate_exits_one(self, tmp_path, capsys, flags):
+        """--eps 0 divided by zero, and --tol nan failed every row in the
+        log yet passed the check."""
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps(dict(m=1, C=8, C_c=4, C_d=4, heads=2,
+                                       x_c=8, x_s=32, window=2,
+                                       rfin_count=1, dkin_count=1)))
+        rc = main(["gradcheck", "--config", str(cfg)] + flags)
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "must be finite and above 0" in captured.err
+        assert "gradient check passed" not in captured.out
+
+    def test_an_error_equal_to_tol_fails_as_in_the_log(self, monkeypatch, capsys):
+        """A row fails unless its error is below tol, the test the log's
+        ok/FAIL column applies."""
+        import braidseg.cli as cli
+        monkeypatch.setattr(cli, "check_model", lambda cfg, seed, h, tol, log: (
+            [("w", 4, tol, 0.0)], tol, 0.0))
+        rc = main(["gradcheck", "--tol", "1e-4"])
+        assert rc == 3
+        assert "gradient check passed" not in capsys.readouterr().out
+
     @pytest.mark.parametrize("raw,field", [
         ({"heads": 0}, "heads"), ({"C_d": 0}, "C_d"), ({"C_c": 0}, "C_c"),
         ({"C": 0, "heads": 3}, "C"), ({"x_c": 0, "x_s": 0}, "x_c"),
@@ -381,6 +407,32 @@ class TestUnreadableInputs:
         err = capsys.readouterr().err
         assert rc == 2
         assert "data error" in err and str(victim) in err
+
+    @pytest.mark.parametrize("case", ["gradcheck-config", "train-manifest",
+                                      "predict-meta.json"])
+    def test_deeply_nested_json_is_a_data_error(self, pipeline, tmp_path, capsys, case):
+        """Exit 2, not a RecursionError traceback with exit 1."""
+        ckpt, data = tmp_path / "ckpt", tmp_path / "data"
+        shutil.copytree(pipeline["ckpt"], ckpt)
+        shutil.copytree(pipeline["data"], data)
+        image = next((data / "images").iterdir())
+        victim, argv = {
+            "gradcheck-config": (tmp_path / "config.json", [
+                "gradcheck", "--config", str(tmp_path / "config.json")]),
+            "train-manifest": (data / "manifest.jsonl", [
+                "train", "--data", str(data), "--out", str(tmp_path / "run"),
+                "--config", str(pipeline["config"]), "--epochs", "1"]),
+            "predict-meta.json": (ckpt / "meta.json", [
+                "predict", "--ckpt", str(ckpt), "--image", str(image),
+                "--out", str(tmp_path / "o.pgm")]),
+        }[case]
+        victim.write_text("[" * 100000)
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and "invalid JSON" in err
+        if case != "train-manifest":        # a manifest line is named by its text
+            assert str(victim) in err
 
 
 class TestAblateCommand:

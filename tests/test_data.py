@@ -106,6 +106,18 @@ class TestManifest:
         back = load_manifest(tmp_path)
         assert back == [s]
 
+    def test_a_line_separator_inside_a_string_stays_in_its_line(self, tmp_path):
+        """JSON allows U+2028 in a string; str.splitlines() would cut there."""
+        rec = dict(json.loads(self._sample().to_json()), id="a\u2028b")
+        (tmp_path / "manifest.jsonl").write_text(
+            json.dumps(rec, ensure_ascii=False) + "\n", encoding="utf-8")
+        assert [s.id for s in load_manifest(tmp_path)] == ["a\u2028b"]
+
+    def test_an_integer_too_long_to_convert_is_a_data_error(self, tmp_path):
+        (tmp_path / "manifest.jsonl").write_text("1" * 5000 + "\n")
+        with pytest.raises(DataError, match="invalid JSON"):
+            load_manifest(tmp_path)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
             load_manifest(tmp_path)

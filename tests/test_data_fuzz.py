@@ -1,4 +1,4 @@
-"""Property tests for the two parsers that read untrusted files.
+"""Property tests for the parsers that read untrusted files.
 
 Any input must either parse into a well-formed value or raise DataError;
 no other exception may escape, because the CLI maps only DataError to
@@ -14,7 +14,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from braidseg.data import CLASSES, DOMAINS, SPLITS, DataError, Sample, read_pgm  # noqa: E402
+from braidseg.data import (CLASSES, DOMAINS, SPLITS, DataError, Sample,  # noqa: E402
+                           load_manifest, read_json, read_pgm)
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -96,13 +97,17 @@ def manifest_records(draw):
     return json.dumps(rec)
 
 
+def _assert_well_formed(s):
+    assert all(isinstance(v, str) for v in (s.id, s.image, s.mask))
+    assert s.cls in CLASSES and s.domain in DOMAINS and s.split in SPLITS
+
+
 def _check_record(line):
     try:
         s = Sample.from_json(line)
     except DataError:
         return
-    assert all(isinstance(v, str) for v in (s.id, s.image, s.mask))
-    assert s.cls in CLASSES and s.domain in DOMAINS and s.split in SPLITS
+    _assert_well_formed(s)
 
 
 @FUZZ
@@ -115,3 +120,36 @@ def test_sample_from_json_parses_or_raises_data_error(line):
 @given(line=st.one_of(st.text(max_size=40), _JSON.map(json.dumps)))
 def test_sample_from_json_on_arbitrary_lines(line):
     _check_record(line)
+
+
+# what the parser itself refuses: nesting past its recursion limit and an
+# integer past int()'s digit limit
+_REFUSED = st.sampled_from([b"[" * 100000, b'{"a": ' * 5000, b"1" * 5000])
+
+
+@FUZZ
+@given(raw=st.one_of(st.binary(max_size=48), _JSON.map(lambda v: json.dumps(v).encode()),
+                     _REFUSED))
+def test_read_json_parses_or_raises_data_error(tmp_path, raw):
+    path = tmp_path / "f.json"
+    path.write_bytes(raw)
+    try:
+        read_json(path)
+    except DataError:
+        pass
+
+
+_LINES = st.one_of(manifest_records(), st.text(max_size=20))
+
+
+@FUZZ
+@given(raw=st.one_of(st.binary(max_size=64), _REFUSED,
+                     st.lists(_LINES, max_size=4).map(lambda ls: "\n".join(ls).encode())))
+def test_load_manifest_parses_or_raises_data_error(tmp_path, raw):
+    (tmp_path / "manifest.jsonl").write_bytes(raw)
+    try:
+        samples = load_manifest(tmp_path)
+    except DataError:
+        return
+    for s in samples:
+        _assert_well_formed(s)

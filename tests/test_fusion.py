@@ -14,6 +14,7 @@ from braidseg import fusion
 from braidseg.fusion import (ApplyDkin, ApplyRfin, CycleError, FinalFuse,
                              RunDomain, RunPrior, build_plan)
 from braidseg.model import ModelConfig, build_model
+from test_decoder import GRADCHECK_CFG
 
 GOLDEN_TRACE_M3 = """\
 prior[1..3]
@@ -338,6 +339,34 @@ class TestBatchInvariance:
                                     for i in range(4)])
         assert np.abs(batched - alone).max() <= 1e-6
         assert np.array_equal(batched > 0, alone > 0)
+
+    @pytest.mark.parametrize("cfg, dtype", [(ModelConfig(), np.float32),
+                                            (ModelConfig(), np.float64),
+                                            (GRADCHECK_CFG, np.float64)],
+                             ids=["default-f32", "default-f64", "audit-f64"])
+    def test_batches_of_2_to_7_are_bitwise_the_first_rows_of_8(self, cfg, dtype):
+        """With every coupler open, each image's logits, and the loss of
+        each batch of 2 to 7, hold the bits of the same images at batch 8.
+        Batch 1 is not pinned: numpy computes a one-row matmul with GEMV,
+        which rounds unlike a GEMM row (1.5e-8 apart in float32 here)."""
+        from braidseg.tensor import Tensor, no_grad
+        from braidseg.train import seg_loss
+
+        net = build_model(cfg, seed=2, dtype=dtype)
+        rng = np.random.default_rng(6)
+        for _, p in net.named_params():
+            if not p.data.any():
+                p.data = rng.normal(0.0, 0.05, size=p.shape).astype(dtype)
+        xc = rng.random((8, 1, cfg.x_c, cfg.x_c)).astype(dtype)
+        xs = rng.random((8, 1, cfg.x_s, cfg.x_s)).astype(dtype)
+        target = (rng.random(xc.shape) > 0.5).astype(dtype)
+        with no_grad():
+            rows = net.forward(xc, xs).data
+            for b in range(2, 8):
+                logits = net.forward(xc[:b], xs[:b])
+                assert logits.data.tobytes() == rows[:b].tobytes(), b
+                want = seg_loss(Tensor(rows[:b]), target[:b]).data
+                assert seg_loss(logits, target[:b]).data.tobytes() == want.tobytes(), b
 
 
 def _dicts(state):

@@ -8,6 +8,7 @@ from braidseg import tensor as T
 from braidseg.gradcheck import check_model
 from braidseg.model import ModelConfig
 from opcheck import check_op, numeric_grad, rel_error
+from test_decoder import GRADCHECK_CFG
 
 
 class TestHelpers:
@@ -80,9 +81,8 @@ class TestCheckModelProbes:
         # at h = 1e-5 the probes of conv_domain.layers.0.conv1.w and n1.b
         # read errors near 1e-2 on this config and seed while their
         # directional errors are near 1e-8: a leaky-ReLU kink, not a bug
-        cfg = ModelConfig(m=3, C=12, C_c=8, C_d=8, heads=3, x_c=16, x_s=64, window=2)
         lines = []
-        rows, max_err, _ = check_model(cfg, seed=104, log=lines.append)
+        rows, max_err, _ = check_model(GRADCHECK_CFG, seed=104, log=lines.append)
         assert max_err < 1e-4
         retried = {line.split()[1] for line in lines if "h/8" in line}
         assert {"conv_domain.layers.0.conv1.w", "conv_domain.layers.0.n1.b"} <= retried
