@@ -10,7 +10,7 @@ import tempfile
 
 from braidseg import ModelConfig, TrainConfig, generate_dataset, train
 from braidseg.data import select
-from braidseg.evaluate import ablate, ablation_text
+from braidseg.evaluate import ablate
 
 # narrow widths keep each cell cheap; m=3 allows feedback depth up to 3
 base = ModelConfig(m=3, C=16, C_c=8, C_d=8, heads=2, x_c=16, x_s=64,
@@ -33,7 +33,7 @@ with tempfile.TemporaryDirectory() as root:
                    train_fn=budget, seed=0, log=print)
 
     print()
-    print(ablation_text(table))
+    print(table.to_text())
     print("d=4 rows are impossible at m=3: the feedback would target a")
     print("transformer layer that has to run before its own input exists.")
     print("(the forward couplers start zero-initialized, so at a toy budget")

@@ -17,8 +17,7 @@ import numpy as np
 
 from .data import (DataError, generate_dataset, load_checkpoint, load_manifest,
                    read_json, read_pgm, select, write_pgm)
-from .evaluate import (ablate, ablation_csv, ablation_text, evaluate,
-                       predict_mask, write_report)
+from .evaluate import ablate, evaluate, predict_mask, write_report
 from .fusion import CycleError
 from .gradcheck import check_model
 from .model import ModelConfig, build_model
@@ -50,8 +49,6 @@ class _Parser(argparse.ArgumentParser):
 def _load_config(path):
     if path is None:
         return ModelConfig()
-    if not os.path.exists(path):
-        raise DataError(f"config file not found: {path}")
     raw = read_json(path)
     try:
         return ModelConfig.from_dict(raw)
@@ -237,15 +234,8 @@ def _cmd_ablate(args):
 
     table = ablate(args.data, val_s, cfg, args.rfin, args.dkin, budget,
                    seed=args.seed, log=print)
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "ablation.csv")
-    txt_path = os.path.join(args.out, "ablation.txt")
-    with open(csv_path, "w") as f:
-        f.write(ablation_csv(table))
-    text = ablation_text(table)
-    with open(txt_path, "w") as f:
-        f.write(text)
-    print(text, end="")
+    csv_path, txt_path = write_report(table, args.out, "ablation")
+    print(table.to_text(), end="")
     print(f"tables written to {csv_path} and {txt_path}")
     return EXIT_OK
 

@@ -22,13 +22,18 @@ split and counts are exact.
 A checkpoint is a directory: meta.json (format version, model config,
 epoch, seed, tensor table) plus one little-endian float32 row-major .bin
 per named parameter. Loading validates the version and every tensor's
-presence and shape, naming the offender on mismatch.
+presence, shape and byte count, naming the offender on mismatch.
+
+Every input file is opened by one reader, _read_bytes. A missing file
+raises DataError "<path> is missing"; any other OSError, or a NUL byte in
+the path, raises DataError "cannot read <path>: <reason>".
 """
 
 from __future__ import annotations
 
 import json
 import os
+import reprlib
 import zlib
 from dataclasses import asdict, dataclass
 
@@ -44,15 +49,24 @@ class DataError(ValueError):
     """Malformed or missing dataset / checkpoint content."""
 
 
-def _read_text(path):
-    """A file's text; an unreadable path or non-UTF-8 bytes raise DataError."""
+def _read_bytes(path):
+    """A file's bytes: the one place an input file is opened."""
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, "rb") as f:
             return f.read()
-    except OSError as e:
+    except FileNotFoundError:
+        raise DataError(f"{path} is missing") from None
+    except (OSError, ValueError) as e:           # ValueError: a NUL byte in the path
         raise DataError(f"cannot read {path}: {e}") from None
+
+
+def _read_text(path):
+    """A file's UTF-8 text, newlines translated as open() translates them."""
+    try:
+        text = _read_bytes(path).decode("utf-8")
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text ({e})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _decode(text, where):
@@ -84,11 +98,7 @@ def write_pgm(path, arr):
 
 
 def read_pgm(path):
-    try:
-        with open(path, "rb") as f:
-            raw = f.read()
-    except (OSError, ValueError) as e:           # ValueError: a NUL byte in the path
-        raise DataError(f"cannot read PGM {path}: {e}") from None
+    raw = _read_bytes(path)
     fields, pos = [], 0
     while len(fields) < 4:
         while pos < len(raw) and raw[pos:pos + 1].isspace():
@@ -140,22 +150,20 @@ class Sample:
 
     @classmethod
     def from_json(cls, line):
-        d = _decode(line, f"manifest line {line.strip()}")
+        """One manifest line's Sample; an error does not echo the line."""
+        d = _decode(line, "manifest record")
         if not isinstance(d, dict):
-            raise DataError(f"manifest record is not a JSON object: {line.strip()}")
+            raise DataError("manifest record is not a JSON object")
         required = {"id", "image", "mask", "class", "domain", "split"}
         missing = required - set(d)
         if missing:
-            raise DataError(f"manifest record missing fields {sorted(missing)}: {line.strip()}")
+            raise DataError(f"manifest record missing fields {sorted(missing)}")
         for key in ("id", "image", "mask"):
             if not isinstance(d[key], str):
-                raise DataError(f"manifest record field {key!r} is not a string: {line.strip()}")
-        if d["class"] not in CLASSES:
-            raise DataError(f"manifest record {d['id']}: unknown class {d['class']!r}")
-        if d["domain"] not in DOMAINS:
-            raise DataError(f"manifest record {d['id']}: unknown domain {d['domain']!r}")
-        if d["split"] not in SPLITS:
-            raise DataError(f"manifest record {d['id']}: unknown split {d['split']!r}")
+                raise DataError(f"manifest record field {key!r} is not a string")
+        for key, allowed in (("class", CLASSES), ("domain", DOMAINS), ("split", SPLITS)):
+            if d[key] not in allowed:
+                raise DataError(f"manifest record: unknown {key} {reprlib.repr(d[key])}")
         return cls(id=d["id"], image=d["image"], mask=d["mask"],
                    cls=d["class"], domain=d["domain"], split=d["split"])
 
@@ -167,12 +175,17 @@ def save_manifest(samples, path):
 
 
 def load_manifest(root):
+    """root/manifest.jsonl's samples; a bad record's error names its line."""
     path = os.path.join(root, "manifest.jsonl")
-    if not os.path.exists(path):
-        raise DataError(f"no manifest.jsonl under {root}")
+    samples = []
     # not splitlines(): it also breaks at U+2028, which a JSON string may hold
-    return [Sample.from_json(line) for line in _read_text(path).split("\n")
-            if line.strip()]
+    for n, line in enumerate(_read_text(path).split("\n"), 1):
+        if line.strip():
+            try:
+                samples.append(Sample.from_json(line))
+            except DataError as e:
+                raise DataError(f"{path} line {n}: {e}") from None
+    return samples
 
 
 def select(samples, split=None, domain=None):
@@ -419,13 +432,11 @@ def load_checkpoint(ckpt_dir):
     from .model import BraidNet, ModelConfig
 
     meta_path = os.path.join(ckpt_dir, "meta.json")
-    if not os.path.exists(meta_path):
-        raise DataError(f"no meta.json under {ckpt_dir}")
     meta = read_json(meta_path)
     if not isinstance(meta, dict):
         raise DataError(f"{meta_path}: not a JSON object")
     version = meta.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if not (_is_int(version) and version == CHECKPOINT_VERSION):
         raise DataError(
             f"{ckpt_dir}: checkpoint format version {version!r}, "
             f"this build reads {CHECKPOINT_VERSION}")
@@ -452,18 +463,14 @@ def load_checkpoint(ckpt_dir):
             raise DataError(
                 f"checkpoint tensor {name!r}: stored shape {tuple(entry['shape'])} "
                 f"!= model shape {p.shape}")
-        path = os.path.join(ckpt_dir, entry["file"])
-        if not os.path.exists(path):
-            raise DataError(f"checkpoint tensor {name!r}: file {entry['file']} is missing")
         try:
-            flat = np.fromfile(path, dtype="<f4")
-        except OSError as e:
-            raise DataError(f"checkpoint tensor {name!r}: cannot read {path}: {e}") from None
-        if flat.size != p.size:
-            raise DataError(
-                f"checkpoint tensor {name!r}: file holds {flat.size} values, "
-                f"expected {p.size}")
-        p.data = flat.reshape(p.shape).astype(np.float32, copy=False)
+            raw = _read_bytes(os.path.join(ckpt_dir, entry["file"]))
+        except DataError as e:
+            raise DataError(f"checkpoint tensor {name!r}: {e}") from None
+        if len(raw) != 4 * p.size:
+            raise DataError(f"checkpoint tensor {name!r}: file holds {len(raw)} bytes, "
+                            f"expected {4 * p.size} for {p.size} float32 values")
+        p.data[...] = np.frombuffer(raw, dtype="<f4").reshape(p.shape)
     model_names = {n for n, _ in model.named_params()}
     extra = set(stored) - model_names
     if extra:

@@ -126,6 +126,25 @@ class AblationCell:
     note: str = ""
 
 
+class AblationTable(list):
+    """The AblationCells of a sweep, in grid order."""
+
+    def to_csv(self):
+        lines = ["rfin,dkin,mean_dice_pct,status,note"]
+        for c in self:
+            mean = "" if np.isnan(c.mean_dice_pct) else f"{c.mean_dice_pct:.4f}"
+            lines.append(f"{c.rfin},{c.dkin},{mean},{c.status},{c.note}")
+        return "\n".join(lines) + "\n"
+
+    def to_text(self):
+        header = f"{'rfin':>4} {'dkin':>4} {'mean dice %':>12}  note"
+        lines = [header, "-" * len(header)]
+        for c in self:
+            mean = "invalid" if c.status != "ok" else f"{c.mean_dice_pct:.2f}"
+            lines.append(f"{c.rfin:>4} {c.dkin:>4} {mean:>12}  {c.note}")
+        return "\n".join(lines) + "\n"
+
+
 def ablate(root, val_samples, base_cfg, rfin_values, dkin_values, train_fn,
            seed=0, log=None):
     """Sweep (rfin, dkin) over the grid, identical seed and budget per cell.
@@ -138,7 +157,7 @@ def ablate(root, val_samples, base_cfg, rfin_values, dkin_values, train_fn,
     cells = [(r, d) for r in rfin_values for d in dkin_values]
     if (0, 0) not in cells:
         cells.append((0, 0))
-    table = []
+    table = AblationTable()
     for r, d in cells:
         cell = AblationCell(r, d)
         try:
@@ -158,23 +177,6 @@ def ablate(root, val_samples, base_cfg, rfin_values, dkin_values, train_fn,
             cell.note = "default config"
         table.append(cell)
     return table
-
-
-def ablation_csv(table):
-    lines = ["rfin,dkin,mean_dice_pct,status,note"]
-    for c in table:
-        mean = "" if np.isnan(c.mean_dice_pct) else f"{c.mean_dice_pct:.4f}"
-        lines.append(f"{c.rfin},{c.dkin},{mean},{c.status},{c.note}")
-    return "\n".join(lines) + "\n"
-
-
-def ablation_text(table):
-    header = f"{'rfin':>4} {'dkin':>4} {'mean dice %':>12}  note"
-    lines = [header, "-" * len(header)]
-    for c in table:
-        mean = "invalid" if c.status != "ok" else f"{c.mean_dice_pct:.2f}"
-        lines.append(f"{c.rfin:>4} {c.dkin:>4} {mean:>12}  {c.note}")
-    return "\n".join(lines) + "\n"
 
 
 def write_report(report, out_dir, stem):

@@ -4,7 +4,7 @@
 
 prints a digest (sha256, first 16 hex digits) of the default plan's
 trace; of the logits and of every parameter gradient for the default
-config at float32 and the audit config (test_decoder.GRADCHECK_CFG) at
+config at float32 and the audit config (configs.GRADCHECK_CFG) at
 float64, each at batch 1 and 2, with the couplers opened off zero; and of
 check_model's rows on the audit config at seed 0, with its maximum error.
 It asserts nothing: the bits depend on the numpy and BLAS build, so
@@ -19,7 +19,7 @@ from braidseg.fusion import build_plan
 from braidseg.gradcheck import check_model
 from braidseg.model import ModelConfig, build_model
 from braidseg.train import seg_loss
-from test_decoder import GRADCHECK_CFG
+from configs import GRADCHECK_CFG
 
 
 def digest(*parts):

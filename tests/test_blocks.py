@@ -12,7 +12,7 @@ from braidseg.blocks import (Attention, Block, Conv, InstanceNorm, LayerNorm,
                              TransformerBlock, _trunc_normal, init_params,
                              param, stable_hash, window_merge, window_partition)
 from braidseg.model import BraidNet, ModelConfig, build_model
-from test_decoder import GRADCHECK_CFG
+from configs import GRADCHECK_CFG
 
 
 def rand(rng, *shape, dtype=np.float32):

@@ -13,10 +13,8 @@ from braidseg.model import ModelConfig, build_model
 from braidseg.prior import PriorBranch
 from braidseg.tensor import Tensor
 from braidseg.train import seg_loss
+from configs import TINY
 from graphmem import forward_inputs, live_graph_mib, op_grads, recorded_ops, train_peak_mib
-
-TINY = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32, window=2,
-                   rfin_count=2, dkin_count=2)
 
 
 def tiny_prior(seed=0):

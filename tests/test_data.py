@@ -13,10 +13,8 @@ from braidseg.data import (CLASSES, DOMAINS, DataError, Sample, _box3,
                            load_manifest, load_sample, make_views,
                            nearest_resize, read_pgm, save_checkpoint,
                            save_manifest, select, write_pgm)
-from braidseg.model import ModelConfig, build_model
-
-TINY = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32,
-                   window=2, rfin_count=2, dkin_count=2)
+from braidseg.model import build_model
+from configs import TINY
 
 
 def _tree_digest(root):
@@ -121,6 +119,22 @@ class TestManifest:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
             load_manifest(tmp_path)
+
+    @pytest.mark.parametrize("line", [
+        "[" * 100000,
+        json.dumps({"id": "x" * 100000, "image": "i", "mask": "m"}),
+        json.dumps({"id": "x", "image": "i", "mask": "m", "class": "c" * 100000,
+                    "domain": "A", "split": "train"}),
+    ], ids=["deep-nesting", "long-id-missing-fields", "long-class"])
+    def test_a_bad_record_is_named_by_file_and_line_in_a_short_message(self, tmp_path,
+                                                                      line):
+        good = self._sample().to_json()
+        path = tmp_path / "manifest.jsonl"
+        path.write_text("\n".join([good, "", line, good]) + "\n")
+        with pytest.raises(DataError) as info:
+            load_manifest(tmp_path)
+        message = str(info.value)
+        assert message.startswith(f"{path} line 3: ") and len(message) < 1000
 
     @pytest.mark.parametrize("field,value", [
         ("class", "weird"), ("domain", "C"), ("split", "holdout")])
@@ -413,6 +427,13 @@ class TestCheckpoints:
         with pytest.raises(DataError, match="format version"):
             load_checkpoint(dst)
 
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_a_version_equal_to_1_must_be_the_integer_1(self, saved, tmp_path, version):
+        dst = self._tampered(saved, tmp_path,
+                             lambda m, d: m.update(format_version=version))
+        with pytest.raises(DataError, match="format version"):
+            load_checkpoint(dst)
+
     def test_missing_tensor_entry(self, saved, tmp_path):
         def mutate(m, d):
             name = sorted(m["tensors"])[0]
@@ -445,6 +466,16 @@ class TestCheckpoints:
             path.write_bytes(path.read_bytes()[:-4])
         dst = self._tampered(saved, tmp_path, mutate)
         with pytest.raises(DataError, match="values"):
+            load_checkpoint(dst)
+
+    def test_a_weight_file_with_trailing_bytes_is_refused(self, saved, tmp_path):
+        """Two extra bytes, too few for one more float32 value, are refused
+        like a whole extra value."""
+        def mutate(m, d):
+            path = d / m["tensors"][_first(m)]["file"]
+            path.write_bytes(path.read_bytes() + b"\x00\x00")
+        dst = self._tampered(saved, tmp_path, mutate)
+        with pytest.raises(DataError, match="bytes"):
             load_checkpoint(dst)
 
     def test_extra_tensor_rejected(self, saved, tmp_path):

@@ -1,11 +1,13 @@
 """Property tests for the parsers that read untrusted files.
 
-Any input must either parse into a well-formed value or raise DataError;
-no other exception may escape, because the CLI maps only DataError to
-exit code 2.
+Any input must either parse into a well-formed value (for a checkpoint,
+the saved weights) or raise DataError; no other exception may escape,
+because the CLI maps only DataError to exit code 2.
 """
 
 import json
+import os
+import shutil
 
 import numpy as np
 import pytest
@@ -15,7 +17,10 @@ from hypothesis import HealthCheck, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from braidseg.data import (CLASSES, DOMAINS, SPLITS, DataError, Sample,  # noqa: E402
-                           load_manifest, read_json, read_pgm)
+                           load_checkpoint, load_manifest, read_json, read_pgm,
+                           save_checkpoint)
+from braidseg.model import build_model  # noqa: E402
+from configs import TINY  # noqa: E402
 
 FUZZ = settings(max_examples=150, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -71,10 +76,15 @@ def test_parse_helper_accepts_a_valid_file(tmp_path):
     assert arr.shape == (2, 3)
 
 
-_JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-    max_leaves=6)
+def _json_values(integers):
+    return st.recursive(
+        st.none() | st.booleans() | integers | st.floats(allow_nan=False) | st.text(max_size=6),
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+        max_leaves=6)
+
+
+_JSON = _json_values(st.integers())
 _FIELD_VALUES = {
     "id": st.text(max_size=8), "image": st.text(max_size=8), "mask": st.text(max_size=8),
     "class": st.sampled_from(CLASSES), "domain": st.sampled_from(DOMAINS),
@@ -153,3 +163,73 @@ def test_load_manifest_parses_or_raises_data_error(tmp_path, raw):
         return
     for s in samples:
         _assert_well_formed(s)
+
+
+# a stored config integer sets the size of the model built before the
+# tensor table is checked, so the values planted in meta.json stay small
+_SMALL_JSON = _json_values(st.integers(-2, 16))
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """A saved TINY checkpoint and the bytes of each of its parameters."""
+    model = build_model(TINY, seed=0)
+    root = tmp_path_factory.mktemp("fuzz") / "ckpt"
+    save_checkpoint(model, root, epoch=1, seed=0)
+    return root, {name: p.data.tobytes() for name, p in model.named_params()}
+
+
+def _walk(data, node, depth):
+    """The keys of a random path of at most `depth` steps down from node."""
+    keys = []
+    for _ in range(depth):
+        if not isinstance(node, (dict, list)) or not node:
+            break
+        key = data.draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                        else range(len(node))))
+        keys.append(key)
+        node = node[key]
+    return keys
+
+
+@FUZZ
+@given(data=st.data(), kind=st.sampled_from(["replace", "drop", "tensor-file"]))
+def test_load_checkpoint_returns_the_saved_weights_or_raises_data_error(
+        tmp_path, tiny_checkpoint, data, kind):
+    src, weights = tiny_checkpoint
+    ckpt = tmp_path / "ckpt"
+    shutil.rmtree(ckpt, ignore_errors=True)
+    # hard links: a file is unlinked before it is rewritten, so the saved
+    # checkpoint never changes
+    shutil.copytree(src, ckpt, copy_function=os.link,
+                    ignore=shutil.ignore_patterns("meta.json"))
+    meta = json.loads((src / "meta.json").read_text())
+    if kind == "tensor-file":
+        entry = meta["tensors"][data.draw(st.sampled_from(sorted(meta["tensors"])))]
+        path = ckpt / entry["file"]
+        raw = path.read_bytes()
+        path.unlink()
+        edit = data.draw(st.sampled_from(["truncate", "extend", "remove"]))
+        if edit == "truncate":
+            path.write_bytes(raw[:data.draw(st.integers(0, len(raw) - 1))])
+        elif edit == "extend":
+            path.write_bytes(raw + data.draw(st.binary(min_size=1, max_size=8)))
+    else:
+        keys = _walk(data, meta, data.draw(st.integers(0 if kind == "replace" else 1, 4)))
+        if not keys:
+            meta = data.draw(_SMALL_JSON)
+        else:
+            parent = meta
+            for key in keys[:-1]:
+                parent = parent[key]
+            if kind == "drop":
+                del parent[keys[-1]]
+            else:
+                parent[keys[-1]] = data.draw(_SMALL_JSON)
+    (ckpt / "meta.json").write_text(json.dumps(meta))
+    try:
+        model, _ = load_checkpoint(ckpt)
+    except DataError:
+        return
+    assert kind != "tensor-file", "a damaged tensor file loaded"
+    assert {name: p.data.tobytes() for name, p in model.named_params()} == weights

@@ -11,10 +11,7 @@ from braidseg.decoder import (MaskDecoder, PromptEncoder, TwoWayLayer,
 from braidseg.gradcheck import check_model
 from braidseg.model import ModelConfig, build_model
 from braidseg.tensor import Tensor
-
-# the benchmark's audit config
-GRADCHECK_CFG = ModelConfig(m=3, C=12, C_c=8, C_d=8, heads=3, x_c=16, x_s=64, window=2,
-                            rfin_count=3, dkin_count=3)
+from configs import GRADCHECK_CFG
 
 
 class TestPositionalCode:

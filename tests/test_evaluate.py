@@ -10,13 +10,11 @@ from braidseg.data import (generate_dataset, load_checkpoint, load_sample,
                            save_checkpoint, select)
 
 ev = importlib.import_module("braidseg.evaluate")
-from braidseg.evaluate import (AblationCell, EvalReport, EvalRow, ablate,
-                               ablation_csv, ablation_text, dice, evaluate,
-                               per_sample_dice, predict_mask, write_report)
-from braidseg.model import ModelConfig, build_model
-
-TINY = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32,
-                   window=2, rfin_count=2, dkin_count=2)
+from braidseg.evaluate import (AblationCell, AblationTable, EvalReport, EvalRow,
+                               ablate, dice, evaluate, per_sample_dice,
+                               predict_mask, write_report)
+from braidseg.model import build_model
+from configs import TINY
 
 
 @pytest.fixture(scope="module")
@@ -239,11 +237,11 @@ class TestAblation:
         assert {(c.rfin, c.dkin) for c in table} == {(1, 1), (0, 0)}
 
     def test_csv_and_text_render_every_row(self):
-        table = [AblationCell(1, 2, 88.25, "ok", "default config"),
-                 AblationCell(3, 9, status="invalid", note="needs d <= m")]
-        csv = ablation_csv(table).splitlines()
+        table = AblationTable([AblationCell(1, 2, 88.25, "ok", "default config"),
+                               AblationCell(3, 9, status="invalid", note="needs d <= m")])
+        csv = table.to_csv().splitlines()
         assert csv[0] == "rfin,dkin,mean_dice_pct,status,note"
         assert csv[1] == "1,2,88.2500,ok,default config"
         assert csv[2] == "3,9,,invalid,needs d <= m"
-        text = ablation_text(table)
+        text = table.to_text()
         assert "88.25" in text and "invalid" in text

@@ -14,7 +14,7 @@ from braidseg import fusion
 from braidseg.fusion import (ApplyDkin, ApplyRfin, CycleError, FinalFuse,
                              RunDomain, RunPrior, build_plan)
 from braidseg.model import ModelConfig, build_model
-from test_decoder import GRADCHECK_CFG
+from configs import GRADCHECK_CFG, TINY
 
 GOLDEN_TRACE_M3 = """\
 prior[1..3]
@@ -275,10 +275,8 @@ class TestZeroCouplerIdentity:
         exactly what the uncoupled one computes, bit for bit; shared
         parameters already agree bit for bit because init is keyed by
         name."""
-        cfg = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32,
-                          window=2, rfin_count=2, dkin_count=2)
-        full = build_model(cfg, seed=4)
-        bare = build_model(replace(cfg, rfin_count=0, dkin_count=0), seed=4)
+        full = build_model(TINY, seed=4)
+        bare = build_model(replace(TINY, rfin_count=0, dkin_count=0), seed=4)
         for name, p in full.named_params():
             if name.startswith(("rfins.", "dkins.")):
                 p.data = np.zeros_like(p.data)
@@ -293,10 +291,8 @@ class TestZeroCouplerIdentity:
     def test_fresh_couplers_start_inert(self):
         """Zero-initialized couplers leave the model output untouched
         straight out of build_model, before any explicit zeroing."""
-        cfg = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32,
-                          window=2, rfin_count=2, dkin_count=2)
-        full = build_model(cfg, seed=1)
-        bare = build_model(replace(cfg, rfin_count=0, dkin_count=0), seed=1)
+        full = build_model(TINY, seed=1)
+        bare = build_model(replace(TINY, rfin_count=0, dkin_count=0), seed=1)
         rng = np.random.default_rng(9)
         xc = rng.random((2, 1, 8, 8), dtype=np.float32)
         xs = rng.random((2, 1, 32, 32), dtype=np.float32)
@@ -538,8 +534,7 @@ class TestInterpreterAgainstManualScript:
 
 
 class TestPrecision:
-    CFG = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32,
-                      window=2, rfin_count=2, dkin_count=2)
+    CFG = TINY
 
     def test_a_float64_model_is_drawn_at_float64(self):
         """Not rounded from float32: every drawn kind holds values that a

@@ -8,7 +8,7 @@ from braidseg import tensor as T
 from braidseg.gradcheck import check_model
 from braidseg.model import ModelConfig
 from opcheck import check_op, numeric_grad, rel_error
-from test_decoder import GRADCHECK_CFG
+from configs import GRADCHECK_CFG
 
 
 class TestHelpers:

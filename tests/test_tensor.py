@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import braidseg.tensor as T
+from configs import TINY
 from graphmem import op_grads
 from opcheck import check_op, numeric_grad, rel_error
 
@@ -684,10 +685,8 @@ class TestNoGrad:
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_full_model_logits_are_bitwise_equal(self, dtype, monkeypatch):
-        from braidseg.model import ModelConfig, build_model
-        cfg = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32,
-                          window=2, rfin_count=2, dkin_count=2)
-        model = build_model(cfg, seed=3, dtype=dtype)
+        from braidseg.model import build_model
+        model = build_model(TINY, seed=3, dtype=dtype)
         rng = np.random.default_rng(5)
         xc = rng.uniform(size=(2, 1, 8, 8)).astype(dtype)
         xs = rng.uniform(size=(2, 1, 32, 32)).astype(dtype)
@@ -761,11 +760,9 @@ class TestWhatTheGraphKeeps:
         assert seen[:2] == [None, None] and seen[2] is not None
 
     def test_no_rule_closes_over_a_recorded_tensor(self):
-        from braidseg.model import ModelConfig, build_model
+        from braidseg.model import build_model
         from braidseg.train import seg_loss
-        cfg = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32,
-                          window=2, rfin_count=2, dkin_count=2)
-        model = build_model(cfg, seed=3)
+        model = build_model(TINY, seed=3)
         rng = np.random.default_rng(5)
         xc = rng.uniform(size=(2, 1, 8, 8)).astype(np.float32)
         xs = rng.uniform(size=(2, 1, 32, 32)).astype(np.float32)

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from braidseg.model import ModelConfig, build_model
+from braidseg.model import build_model
 from braidseg.tensor import _topo_order
 from braidseg.train import seg_loss
+from configs import TINY
 
 TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 
@@ -31,12 +32,10 @@ def load_tracing():
 
 
 def test_the_tracer_counts_every_node_and_times_the_rules():
-    cfg = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32, window=2,
-                      rfin_count=2, dkin_count=2)
-    net = build_model(cfg, seed=0)
+    net = build_model(TINY, seed=0)
     rng = np.random.default_rng(0)
-    xc = rng.random((2, 1, cfg.x_c, cfg.x_c), dtype=np.float32)
-    xs = rng.random((2, 1, cfg.x_s, cfg.x_s), dtype=np.float32)
+    xc = rng.random((2, 1, TINY.x_c, TINY.x_c), dtype=np.float32)
+    xs = rng.random((2, 1, TINY.x_s, TINY.x_s), dtype=np.float32)
     target = (rng.random(xc.shape) > 0.5).astype(np.float32)
     seg_loss(net.forward(xc, xs), target).backward()
     untraced = {name: p.grad.copy() for name, p in net.named_params()}

@@ -12,12 +12,10 @@ from braidseg.model import ModelConfig, build_model
 from braidseg.tensor import Tensor, bce_with_logits, scale, sigmoid_np, tensor_sum
 from braidseg.train import (NumericError, SgdState, TrainConfig, augment,
                             poly_lr, seg_loss, sgd_step, soft_dice, train)
+from configs import TINY
 
 # braidseg.train is re-exported as the function; fetch the module
 train_mod = importlib.import_module("braidseg.train")
-
-TINY = ModelConfig(m=2, C=16, C_c=8, C_d=8, heads=2, x_c=8, x_s=32,
-                   window=2, rfin_count=2, dkin_count=2)
 
 
 @pytest.fixture(scope="module")
