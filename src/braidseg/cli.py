@@ -259,7 +259,7 @@ def main(argv=None):
         return EXIT_USAGE
     try:
         return _COMMANDS[args.command](args)
-    except (DataError, FileNotFoundError) as e:
+    except (DataError, OSError) as e:
         print(f"braidseg: data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except (NumericError, CycleError) as e:

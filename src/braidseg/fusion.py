@@ -23,9 +23,10 @@ model computes exactly the two independent branches.
 The plan is a static step list in which every step is one layer of
 either branch, one coupler, or the final element-wise fuse of the two
 projected maps. Each step kind states once what it does: run(net, state)
-runs it on a BraidNet and a PlanState, blocks(net) names the blocks
-whose parameters it reads, and lines(run) renders it in trace(). A
-forward coupler directly follows its source layer; a feedback coupler
+runs it on a BraidNet and a PlanState, and lines(run) renders it in
+trace(). So run() alone states which parameters a step reads; the
+gradient audit reads that off a recorded pass (gradcheck.resume_states).
+A forward coupler directly follows its source layer; a feedback coupler
 comes before the prior layers that lead up to its target. Scheduling
 requires every feedback target to come after the last forward-coupler
 source (3m < 4m-d+1, i.e. d <= m); otherwise construction fails with an
@@ -85,7 +86,8 @@ class DkinModule(Block):
 
 @dataclass
 class PlanState:
-    """BraidNet.encode's loop state before plan step k."""
+    """BraidNet.encode's loop state before plan step k; after the last
+    step (k = len(plan.steps)) it also holds the fused map."""
 
     k: int
     tokens: T.Tensor
@@ -93,6 +95,7 @@ class PlanState:
     domain_out: dict                        # domain layer outputs by layer
     to_domain: dict                         # pending coupler outputs by target layer
     to_prior: dict                          # pending coupler outputs by target layer
+    fused: T.Tensor = None
 
     def copy(self):                         # the same tensors in fresh dicts
         return replace(self, domain_out=dict(self.domain_out),
@@ -116,9 +119,6 @@ class RunPrior(Step):
         state.tokens = net.patch_prior.forward_layer(
             self.i, state.tokens, state.to_prior.pop(self.i, None))
 
-    def blocks(self, net):
-        return [net.patch_prior.layers[self.i - 1]]
-
     @classmethod
     def lines(cls, run):                    # consecutive prior layers share a line
         return [f"prior[{run[0].i}..{run[-1].i}]"]
@@ -133,9 +133,6 @@ class RunDomain(Step):
         state.dmap = state.domain_out[self.j] = net.conv_domain.forward_layer(
             self.j, state.dmap, state.to_domain.pop(self.j, None))
 
-    def blocks(self, net):
-        return [net.conv_domain.layers[self.j - 1]]
-
 
 @dataclass(frozen=True)
 class ApplyRfin(Step):
@@ -146,9 +143,6 @@ class ApplyRfin(Step):
 
     def run(self, net, state):              # directly after its source layer
         state.to_domain[self.dst_domain] = net.rfins[self.idx].forward(state.tokens)
-
-    def blocks(self, net):
-        return [net.rfins[self.idx]]
 
 
 @dataclass(frozen=True)
@@ -162,20 +156,14 @@ class ApplyDkin(Step):
         state.to_prior[self.dst_prior] = net.dkins[self.idx].forward(
             state.domain_out[self.src_domain])
 
-    def blocks(self, net):
-        return [net.dkins[self.idx]]
-
 
 @dataclass(frozen=True)
 class FinalFuse(Step):
     line = "fuse"
 
-    def run(self, net, state):              # the last step: returns the fused map
-        return final_fuse(net.patch_prior.project(state.tokens),
-                          net.conv_domain.project(state.dmap))
-
-    def blocks(self, net):
-        return [net.patch_prior.neck, net.conv_domain.out_proj]
+    def run(self, net, state):
+        state.fused = final_fuse(net.patch_prior.project(state.tokens),
+                                 net.conv_domain.project(state.dmap))
 
 
 class FusionPlan:

@@ -9,8 +9,8 @@ plus one exact single-element probe per tensor. Each of its loss
 evaluations reruns the forward pass only from the first plan step that
 reads the perturbed tensor, on the state an unperturbed pass saved, so
 it computes the same bits as a whole forward pass at a fraction of the
-cost. BraidNet.resume_steps finds that step by parameter identity,
-through the blocks each plan step's blocks(net) names.
+cost. resume_states() finds that state by walking the graph of the
+recorded pass back from the saved states and the loss to the parameters.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .blocks import stable_hash
-from .tensor import no_grad
+from .tensor import first_reach, no_grad
 
 
 def check_model(cfg, seed=0, h=1e-5, tol=1e-4, log=None):
@@ -44,13 +44,14 @@ def check_model(cfg, seed=0, h=1e-5, tol=1e-4, log=None):
     above 0 raises ValueError.
 
     The recorded pass keeps the loop state before each plan step and the
-    fused map; its backward spends every rule, so those states hold only
-    the arrays a forward-only pass would. Every later loss evaluation
-    perturbs one tensor and resumes at the first step that reads it
-    (BraidNet.resume_steps): the decoder alone for the prompt and decoder
-    tensors, the whole forward for the embedding. The steps it skips would
-    have produced the saved bits, so every row equals the one a whole
-    forward pass per evaluation gives.
+    final state with the fused map; its backward spends every rule, so
+    those states hold only the arrays a forward-only pass would. Every
+    later loss evaluation perturbs one tensor and runs forward(state=...)
+    from the state resume_states() gives it: the decoder alone for the
+    prompt and decoder tensors, the whole forward for the embedding and
+    for any tensor the graph lost, whose zero gradient then fails. The
+    steps it skips would have produced the saved bits, so every row
+    equals the one a whole forward pass per evaluation gives.
 
     Central differences are only meaningful where the loss is smooth in the
     parameter, so tensors that start at exactly zero (coupler projections,
@@ -81,21 +82,14 @@ def check_model(cfg, seed=0, h=1e-5, tol=1e-4, log=None):
               < (cfg.x_c / 4) ** 2).astype(np.float64)[None, None]
 
     saved = []
-    fused = model.encode(xc, xs, saved=saved)
-    seg_loss(model.decode(fused), target).backward()
-    resume = model.resume_steps()
+    loss = seg_loss(model.decode(model.encode(xc, xs, saved=saved)), target)
+    loss.backward()
+    start = resume_states(model, saved, loss)
 
     def loss_at(name):
         # a finite difference needs only the number, not a graph
-        k = resume[name]
         with no_grad():
-            if k is None:
-                logits = model.forward(xc, xs)
-            elif k == len(saved):
-                logits = model.decode(fused)
-            else:
-                logits = model.decode(model.encode(xc, xs, state=saved[k]))
-            return float(seg_loss(logits, target).data)
+            return float(seg_loss(model.forward(xc, xs, start[name]), target).data)
 
     def probe_error(name, p, idx, analytic, gscale, step):
         # exact per-element central difference, judged on the tensor's own
@@ -164,6 +158,21 @@ def check_model(cfg, seed=0, h=1e-5, tol=1e-4, log=None):
             log(f"{status:4s} {name:60s} n={p.size:<8d} dir={err_dir:.3e} "
                 f"probe={err_probe:.3e}{retry}")
     return rows, max_err, time.perf_counter() - t0
+
+
+def resume_states(model, saved, loss):
+    """Map each parameter name to the state a pass with it perturbed
+    resumes from, given the states and the loss of a recorded pass:
+    saved[k-1] if saved[k] is the first state whose tensors reach it, the
+    final state (the decoder alone) if only the loss does, and None (the
+    whole forward) if saved[0] does or nothing does."""
+    if not saved[-1].fused.requires_grad:
+        raise ValueError("resume_states: the saved states carry no graph (saved under no_grad)")
+    reached = first_reach([(s.tokens, s.dmap, s.fused, *s.domain_out.values(),
+                            *s.to_domain.values(), *s.to_prior.values()) for s in saved]
+                          + [[loss]])
+    starts = [None, *saved]
+    return {name: starts[reached.get(p, 0)] for name, p in model.named_params()}
 
 
 def _finite_or_inf(err):

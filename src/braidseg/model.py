@@ -3,9 +3,10 @@
 The fusion plan is static for a given (m, r, d), so BraidNet.encode runs
 it as a plain loop in which each step updates one PlanState (fusion.py).
 The loop can also start at any step from the state an earlier pass saved
-before it; the gradient audit uses this to rerun only the steps a
-perturbed parameter affects, which BraidNet.resume_steps finds through
-the blocks each step reads.
+before it, or decode the fused map of the state saved after the last
+step; the gradient audit uses this to rerun only the steps a perturbed
+parameter affects, which gradcheck.resume_states reads off the recorded
+pass.
 """
 
 from __future__ import annotations
@@ -100,9 +101,10 @@ class BraidNet(Block):
         """The parameters' precision, read from them."""
         return self.patch_prior.embed.w.dtype
 
-    def forward(self, x_c, x_s):
-        """x_c [B,1,x_c,x_c], x_s [B,1,x_s,x_s] arrays -> logits [B,1,x_c,x_c]."""
-        return self.decode(self.encode(x_c, x_s))
+    def forward(self, x_c, x_s, state=None):
+        """x_c [B,1,x_c,x_c], x_s [B,1,x_s,x_s] arrays -> logits [B,1,x_c,x_c];
+        a saved `state` resumes the plan there (encode)."""
+        return self.decode(self.encode(x_c, x_s, state))
 
     def decode(self, fused):
         """Fused [B,C_d,g,g] map -> logits under the whole-image box prompt."""
@@ -113,8 +115,10 @@ class BraidNet(Block):
 
         The loop starts at step 0 on the embedded inputs or, given a `state`
         that an earlier pass saved, at the step it was saved before; x_c and
-        x_s are then not read. When `saved` is a list, a copy of the state
-        before each step this pass runs is appended to it.
+        x_s are then not read, and the state saved after the last step runs
+        no step at all. When `saved` is a list, a copy of the state before
+        each step this pass runs is appended to it, then the final state
+        (k = len(plan.steps)), which holds the fused map.
         """
         if state is None:
             x_c = self._as_input(x_c, self.cfg.x_c, "x_c")
@@ -122,31 +126,13 @@ class BraidNet(Block):
             state = PlanState(0, self.patch_prior.embed_tokens(x_s), x_c, {}, {}, {})
         else:                                # copied: a state is resumed many times
             state = state.copy()
-        for state.k, step in enumerate(self.plan.steps[state.k:], state.k):
+        steps = self.plan.steps
+        for state.k in range(state.k, len(steps) + 1):
             if saved is not None:
                 saved.append(state.copy())
-            fused = step.run(self, state)
-        return fused
-
-    def resume_steps(self):
-        """Map each parameter name to the index of the first step that reads it.
-
-        Perturbing a parameter leaves the output of every earlier step
-        unchanged, so a forward pass can resume there from the state an
-        unperturbed pass saved. Each step's blocks(net) claim their
-        parameters by identity. The prompt encoder and the decoder run after
-        the plan and map to len(plan.steps); what no step claims, the
-        embedding, maps to None (run the whole forward).
-        """
-        steps = self.plan.steps
-        first = {}
-        for k, step in enumerate(steps):
-            for block in step.blocks(self):
-                for _, p in block.named_params():
-                    first.setdefault(p, k)
-        for _, p in self.prompt.named_params() + self.decoder.named_params():
-            first.setdefault(p, len(steps))
-        return {name: first.get(p) for name, p in self.named_params()}
+            if state.k < len(steps):
+                steps[state.k].run(self, state)
+        return state.fused
 
     def _as_input(self, x, extent, name):
         if isinstance(x, Tensor):

@@ -244,6 +244,21 @@ def _topo_order(root):
     return order
 
 
+def first_reach(groups):
+    """Map each graph node below the tensors of groups (sequences of
+    tensors or None) to the index of the first group that reaches it, in
+    one walk; a leaf that requires grad is its own node."""
+    reached = {}
+    for k, group in enumerate(groups):
+        stack = [_node_of(t) for t in group if t is not None]
+        while stack:
+            node = stack.pop()
+            if node is not None and node not in reached:
+                reached[node] = k
+                stack.extend(node._parents)
+    return reached
+
+
 def _flow(seeds, node, g):
     """Accumulate gradient g into node's slot in the per-backward dict."""
     if node in seeds:

@@ -130,6 +130,17 @@ class TestGenData:
         assert "train sample count must be >= 0, got -3" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_an_existing_file_as_the_output_directory_is_a_data_error(self, tmp_path, capsys):
+        """Exit 2 with a message naming the path, not a NotADirectoryError
+        traceback."""
+        out = tmp_path / "taken"
+        out.write_text("")
+        rc = main(["gen-data", "--out", str(out), "--train", "1", "--val", "0",
+                   "--test", "0", "--size", "16"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and str(out) in err
+
 
 class TestTrain:
     def test_writes_log_and_checkpoint(self, pipeline):
@@ -240,6 +251,18 @@ class TestEvalPredict:
         assert mask.shape == (16, 16)
         assert set(np.unique(mask)) <= {0, 255}
         assert "foreground" in capsys.readouterr().out
+
+    def test_predict_to_a_directory_is_a_data_error(self, pipeline, tmp_path, capsys):
+        """Exit 2 with a message naming the path, not an IsADirectoryError
+        traceback."""
+        img = next((pipeline["data"] / "images").iterdir())
+        out = tmp_path / "taken"
+        out.mkdir()
+        rc = main(["predict", "--ckpt", str(pipeline["ckpt"]), "--image", str(img),
+                   "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "data error" in err and str(out) in err
 
     def test_predict_missing_image(self, pipeline, tmp_path):
         rc = main(["predict", "--ckpt", str(pipeline["ckpt"]), "--image",

@@ -13,6 +13,7 @@ from braidseg.domain import N_LAYERS
 from braidseg import fusion
 from braidseg.fusion import (ApplyDkin, ApplyRfin, CycleError, FinalFuse,
                              RunDomain, RunPrior, build_plan)
+from braidseg.gradcheck import resume_states
 from braidseg.model import ModelConfig, build_model
 from configs import GRADCHECK_CFG, TINY
 
@@ -175,7 +176,7 @@ def step_type_tests(source):
 
 class TestStepKinds:
     def test_no_source_dispatches_on_a_step_kind(self):
-        """Each step kind states what it runs, reads and traces in its own
+        """Each step kind states what it runs and traces in its own
         class, so no code in the package tests a step's type."""
         sources = sorted(Path(fusion.__file__).parent.glob("*.py"))
         assert len(sources) >= 10
@@ -370,7 +371,7 @@ def _dicts(state):
 
 
 class TestResumeFromSavedState:
-    """encode() resumed at BraidNet.resume_steps() from a saved state is
+    """forward() resumed from the saved state that resume_states() picks is
     what the gradient audit runs instead of a whole forward pass."""
 
     # float64 and all six couplers, as the audit runs them
@@ -391,56 +392,49 @@ class TestResumeFromSavedState:
         xs = rng.random((1, 1, 32, 32))
         target = (rng.random((1, 1, 8, 8)) > 0.5).astype(np.float64)
         # the gradients pick the element each parameter's probe perturbs
-        seg_loss(net.forward(xc, xs), target).backward()
         saved = []
-        with no_grad():
-            fused = net.encode(xc, xs, saved=saved)
+        recorded = seg_loss(net.decode(net.encode(xc, xs, saved=saved)), target)
+        recorded.backward()
 
-        def loss(k=None):
+        def loss(state=None):
             with no_grad():
-                if k is None:
-                    logits = net.forward(xc, xs)
-                elif k == len(saved):
-                    logits = net.decode(fused)
-                else:
-                    logits = net.decode(net.encode(xc, xs, state=saved[k]))
-                return float(seg_loss(logits, target).data)
+                return float(seg_loss(net.forward(xc, xs, state), target).data)
 
-        return SimpleNamespace(net=net, saved=saved, fused=fused, loss=loss,
-                               base=loss(), xc=xc, xs=xs, no_grad=no_grad)
+        return SimpleNamespace(net=net, saved=saved, starts=resume_states(net, saved, recorded),
+                               loss=loss, base=loss(), xc=xc, xs=xs, no_grad=no_grad)
 
     def test_every_parameter_maps_to_a_step(self, run):
         net = run.net
         assert len(net.rfins) == self.CFG.rfin_count
         assert len(net.dkins) == self.CFG.dkin_count
-        starts = net.resume_steps()
         n = len(net.plan.steps)
-        assert list(starts) == [name for name, _ in net.named_params()]
-        for name, k in starts.items():
+        assert [s.k for s in run.saved] == list(range(n + 1))
+        assert list(run.starts) == [name for name, _ in net.named_params()]
+        for name, state in run.starts.items():
             if name.startswith("patch_prior.embed."):
-                assert k is None
+                assert state is None
             elif name.startswith(("prompt.", "decoder.")):
-                assert k == n
+                assert state is run.saved[n]
             else:
-                assert 0 <= k < n, name
-        assert [s.k for s in run.saved] == list(range(n))
+                assert state.k < n and state is run.saved[state.k], name
 
-    def test_a_block_no_step_claims_reruns_the_whole_forward(self, run, monkeypatch):
-        """Leaving a block out of a step's blocks costs audit time, not correctness."""
-        monkeypatch.setattr(FinalFuse, "blocks", lambda step, net: [])
-        starts = run.net.resume_steps()
-        neck = run.net.patch_prior.neck.named_params("patch_prior.neck.")
-        assert neck and all(starts[name] is None for name, _ in neck)
+    def test_states_saved_without_a_graph_are_refused(self, run):
+        """No saved state would reach a tensor, so every one would rerun
+        the whole forward."""
+        saved = []
+        with run.no_grad():
+            out = run.net.decode(run.net.encode(run.xc, run.xs, saved=saved))
+        with pytest.raises(ValueError, match="no graph"):
+            resume_states(run.net, saved, out)
 
     def test_resumed_loss_equals_whole_forward_bitwise(self, run):
-        starts = run.net.resume_steps()
         inert = []
         for name, p in run.net.named_params():
             idx = np.unravel_index(np.argmax(np.abs(p.grad)), p.shape)
             keep = p.data[idx]
             p.data[idx] = keep + 0.1 * (1.0 + abs(keep))
             try:
-                whole, resumed = run.loss(), run.loss(starts[name])
+                whole, resumed = run.loss(), run.loss(run.starts[name])
             finally:
                 p.data[idx] = keep
             assert resumed == whole, name
@@ -456,17 +450,23 @@ class TestResumeFromSavedState:
         assert all(n.endswith("b") for n in inert), inert
 
     def test_resuming_leaves_the_saved_state_as_it_was(self, run):
-        before = [tuple(sorted(d)) for s in run.saved for d in _dicts(s)]
+        def contents():
+            return [(s.k, s.tokens, s.dmap, s.fused, *(tuple(sorted(d)) for d in _dicts(s)))
+                    for s in run.saved]
+
+        before = contents()
         with run.no_grad():
-            run.net.encode(run.xc, run.xs, state=run.saved[0])
-        assert [tuple(sorted(d)) for s in run.saved for d in _dicts(s)] == before
+            for state in (run.saved[0], run.saved[-1]):
+                run.net.forward(run.xc, run.xs, state)
+        assert contents() == before
 
     def test_saved_tensors_share_no_memory_with_parameters(self, run):
         """Probes edit p.data in place; a saved view of a parameter would
         see the edit and resume from a state that was never computed."""
-        held = [run.fused]
+        assert run.saved[-1].fused is not None
+        held = []
         for s in run.saved:
-            held += [s.tokens, s.dmap]
+            held += [t for t in (s.tokens, s.dmap, s.fused) if t is not None]
             for d in _dicts(s):
                 held += list(d.values())
         params = [p.data for _, p in run.net.named_params()]

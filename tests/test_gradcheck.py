@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from braidseg import tensor as T
-from braidseg.gradcheck import check_model
-from braidseg.model import ModelConfig
+from braidseg.gradcheck import check_model, resume_states
+from braidseg.model import ModelConfig, build_model
 from opcheck import check_op, numeric_grad, rel_error
 from configs import GRADCHECK_CFG
 
@@ -109,6 +109,28 @@ class TestCheckModelProbes:
         assert all("h/8" in line for line in lines if line.startswith("FAIL")
                    and line.split()[1] in probe_fails)
 
+    def test_a_parameter_the_graph_lost_still_fails(self, monkeypatch):
+        """A layer that reads its weight's array instead of the tensor
+        keeps that weight out of the recorded graph: its analytic gradient
+        is zero, and the audit must rerun the whole forward for it, where
+        the finite difference moves, rather than the decoder alone."""
+        from braidseg import model as M
+        build = M.build_model
+
+        def build_with_a_lost_edge(*args, **kwargs):
+            net = build(*args, **kwargs)
+            fc1 = net.patch_prior.layers[1].mlp.fc1
+            fc1.forward = lambda x: T.matmul(x, T.Tensor(fc1.w.data.copy()), fc1.b)
+            return net
+
+        monkeypatch.setattr(M, "build_model", build_with_a_lost_edge)
+        cfg = ModelConfig(m=1, C=8, C_c=4, C_d=4, heads=2, x_c=8, x_s=32,
+                          window=2, rfin_count=1, dkin_count=1)
+        rows, max_err, _ = check_model(cfg, seed=0)
+        assert max_err > 1e-4
+        fails = {name for name, _, e_dir, e_probe in rows if max(e_dir, e_probe) >= 1e-4}
+        assert fails == {"patch_prior.layers.1.mlp.fc1.w"}
+
     def test_a_nan_gradient_fails_every_tolerance(self, nan_relu_backward):
         # max(0.0, nan) is 0.0 and nan > tol is False, so a NaN error
         # must be stored as inf to reach max_err and the callers' checks
@@ -119,3 +141,23 @@ class TestCheckModelProbes:
         errors = [e for _, _, e_dir, e_probe in rows for e in (e_dir, e_probe)]
         assert not any(np.isnan(errors))
         assert sum(e == float("inf") for e in errors) > len(rows)
+
+
+class TestResumeStates:
+    def test_the_audit_config_resumes_each_tensor_at_its_first_reader(self):
+        """Which state each tensor resumes from at GRADCHECK_CFG. A tensor
+        that resumed earlier than it needs to would cost audit time but
+        leave every bit alike, so only a count like this one sees it."""
+        model = build_model(GRADCHECK_CFG, seed=0, dtype=np.float64)
+        rng = np.random.default_rng(0)
+        saved = []
+        out = model.decode(
+            model.encode(rng.random((1, 1, 16, 16)), rng.random((1, 1, 64, 64)), saved=saved))
+        n = len(model.plan.steps)
+        assert n == 27
+        ks = [None if s is None else s.k for s in resume_states(model, saved, out).values()]
+        assert ks.count(None) == 3
+        assert ks.count(n) == 87
+        assert [ks.count(k) for k in range(n)] == [
+            16, 16, 16, 4, 16, 16, 12, 16, 16, 16, 4, 12, 16, 16, 16, 4, 12, 12, 4, 16,
+            12, 4, 16, 12, 4, 16, 6]

@@ -9,14 +9,18 @@ that moved off the Tensor would leave the tracer reading 0 nodes and
 0 ms without an error, and one that returned its gradients instead of
 flowing them would lose them under the tracer, so one traced forward and
 backward pass is checked against the untraced one here.
+
+The tracer books a gradient-audit loss evaluation's model time under
+BraidNet.forward, so every evaluation must run through it.
 """
 
+import importlib
 import importlib.util
 from pathlib import Path
 
 import numpy as np
 
-from braidseg.model import build_model
+from braidseg.model import ModelConfig, build_model
 from braidseg.tensor import _topo_order
 from braidseg.train import seg_loss
 from configs import TINY
@@ -59,3 +63,20 @@ def test_the_tracer_counts_every_node_and_times_the_rules():
     assert traced.keys() == untraced.keys()
     assert [name for name, g in untraced.items()
             if traced[name].grad.tobytes() != g.tobytes()] == []
+
+
+def test_the_traced_audit_books_every_loss_evaluation_as_a_forward():
+    cfg = ModelConfig(m=1, C=8, C_c=4, C_d=4, heads=2, x_c=8, x_s=32,
+                      window=2, rfin_count=1, dkin_count=1)
+    # the tracer rebinds module attributes, so call through the module
+    gradcheck = importlib.import_module("braidseg.gradcheck")
+    tracer = load_tracing().Tracer().install()
+    try:
+        assert tracer.missing == []
+        gradcheck.check_model(cfg, seed=0)
+    finally:
+        tracer.uninstall()
+
+    evals = tracer.done[1:]                 # done[0] ends with the analytic pass's loss
+    assert len(evals) >= 4 * len(build_model(cfg).named_params())
+    assert [i for i, o in enumerate(evals, 1) if not o["gradcheck.forward_ms"] > 0] == []
